@@ -158,7 +158,7 @@ def middle_ground(rng) -> Workload:
     made = inputs.middle_ground_inputs(rng)
     fixed, small = made["fixed"], made["small"]
     # Every small profile is requested three times a round, once before, between
-    # and after the two big requests, so its best latency is taken over three
+    # and after the two big requests, so its median latency is taken over three
     # stretches of the round rather than one.
     small_pass = [(doc.name + "/mg-construct", doc, MG_CONSTRUCT) for doc in small]
     plan = (
