@@ -227,28 +227,56 @@ def _profile(doc):
     return Profile(space, combiner, "hier", shs)
 
 
-def check_moral_machine(doc, answer) -> list[str]:
+def _is_middle_ground(s, p) -> bool:
+    """A single statement meets the definition, all by brute force: it is
+    non-trivial, compatible with every union statement and entailed by some
+    stakeholder."""
+    from concord import oracle
+    from concord.domain import complement as neg
+
+    sp, c = p.space, p.combiner
+    return (not oracle.brute_tautology(s, sp, c, "hier")
+            and not oracle.brute_tautology(neg(s), sp, c, "hier")
+            and all(oracle.brute_consistent((s, u), sp, c, "hier")
+                    for u in p.union_statements())
+            and any(oracle.brute_entails(sh.statements, s, sp, c, "hier")
+                    for sh in p.stakeholders))
+
+
+def _full_language(p):
+    from concord.domain import Alternative, Statement
+
+    alts = [Alternative(v) for v in itertools.product(*p.space.domains)]
+    return [Statement(a, b, s) for a in alts for b in alts for s in (False, True)]
+
+
+def check_witness(doc, answer) -> list[str]:
     """exists, with a witness that is non-trivial, compatible with every
     union statement and entailed by some stakeholder, all by brute force."""
-    from concord import oracle
-    from concord.domain import Alternative, Statement, complement as neg
+    from concord.domain import Alternative, Statement
 
     payload, errs = cli_payload(answer)
     if errs:
         return errs
     if payload["verdict"] != "exists" or len(payload["witnesses"]) != 1:
-        return ["verdict %r, witnesses %r" % (payload["verdict"], payload["witnesses"])]
+        return ["%s: verdict %r, witnesses %r"
+                % (doc.name, payload["verdict"], payload["witnesses"])]
     p = _profile(doc)
     a, b, strict = parse_stmt(payload["witnesses"][0])
     s = Statement(Alternative(a), Alternative(b), strict)
-    sp, c = p.space, p.combiner
-    if oracle.brute_tautology(s, sp, c, "hier") or oracle.brute_tautology(neg(s), sp, c, "hier"):
-        return ["witness %s is trivial" % s]
-    if not all(oracle.brute_consistent((s, u), sp, c, "hier") for u in p.union_statements()):
-        return ["witness %s clashes with a stakeholder statement" % s]
-    if not any(oracle.brute_entails(sh.statements, s, sp, c, "hier") for sh in p.stakeholders):
-        return ["witness %s is entailed by no stakeholder" % s]
+    if not _is_middle_ground(s, p):
+        return ["%s: witness %s is trivial, clashes with a stakeholder statement "
+                "or is entailed by no stakeholder" % (doc.name, s)]
     return []
+
+
+def check_exists(doc, answer) -> list[str]:
+    """``mg-exists`` against the definition over the whole language: a middle
+    ground exists iff some statement meets it; a witness must meet it."""
+    p = _profile(doc)
+    if any(_is_middle_ground(s, p) for s in _full_language(p)):
+        return check_witness(doc, answer)
+    return check_none(answer)
 
 
 def check_none(answer) -> list[str]:
@@ -265,20 +293,33 @@ def _ground_set(grounds) -> set[frozenset[str]]:
 
 
 def check_small(doc, answer) -> list[str]:
+    """The grounds equal ``oracle.brute_mgs`` over the whole language."""
     from concord import oracle
-    from concord.domain import Alternative, Statement
 
     payload, errs = cli_payload(answer)
     if errs:
         return errs
     p = _profile(doc)
-    alts = [Alternative(v) for v in itertools.product(*p.space.domains)]
-    language = [Statement(a, b, s) for a in alts for b in alts for s in (False, True)]
-    want = oracle.brute_mgs(p, language)
+    want = oracle.brute_mgs(p, _full_language(p))
     got = _ground_set(payload["grounds"])
     if got != _ground_set([[str(s) for s in g] for g in want.grounds]):
         return ["%s: grounds differ from oracle.brute_mgs" % doc.name]
     return []
+
+
+def _audit_passes(payload) -> bool:
+    checks = payload["postulates"] or {}
+    return len(checks) == len(payload["grounds"]) and all(
+        set(v.values()) == {"pass"} for v in checks.values())
+
+
+def check_verified(doc, answer) -> list[str]:
+    """``mg-construct --verify``: the grounds as ``check_small``, and the
+    postulate audit passes P1-P5 on every ground."""
+    errs = check_small(doc, answer)
+    if not errs and not _audit_passes(json.loads(answer[1])):
+        errs.append("%s: postulate audit does not pass P1-P5 on every ground" % doc.name)
+    return errs
 
 
 def nonuniqueness_grounds(doc) -> set[frozenset[str]]:
@@ -345,9 +386,6 @@ def check_nonuniqueness(doc, answer, want: set[frozenset[str]]) -> list[str]:
         errs.append("gamma>delta and delta>gamma do not both occur")
     if any(gd in g and dg in g for g in got):
         errs.append("a ground holds both gamma>delta and delta>gamma")
-    checks = payload["postulates"] or {}
-    if len(checks) != len(got) or any(
-        set(v.values()) != {"pass"} for v in checks.values()
-    ):
+    if not _audit_passes(payload):
         errs.append("postulate audit does not pass P1-P5 on every ground")
     return errs

@@ -1,11 +1,11 @@
-"""Seeded inputs for the three workloads, as profile document text.
+"""Seeded inputs for the four workloads, as profile document text.
 
 Every generator takes a ``random.Random`` and returns plain data: the
 document text the program parses, plus the raw statements the output checks
 read, so that no check depends on the program's parser. Generation itself
-uses only the standard library; the two gadget documents and the small
-middle-ground profiles go through the program's ``gadgets`` and ``oracle``
-modules in ``middle_ground_inputs``.
+uses only the standard library; the gadget documents and the catalogue
+profiles go through the program's ``gadgets`` and ``oracle`` modules
+(``catalogue_profiles``, ``_gadget``).
 """
 
 from __future__ import annotations
@@ -313,42 +313,29 @@ def hier_inputs(rng: random.Random) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# middle-ground: the paper's gadgets plus small random tie profiles
+# middle-ground: small random tie profiles; paper-gadgets: the paper's gadgets
 
-SMALL_PROFILES = 32
+SMALL_PROFILES = 32  # over three binary variables, in paper-gadgets
+TINY_PROFILES = 12  # over two binary variables, in middle-ground
 
 
-def middle_ground_inputs(rng: random.Random) -> dict:
-    """The moral-machine, nonuniqueness and nonexistence gadgets as documents,
-    and SMALL_PROFILES random profiles over three binary variables with the
-    tie combiner: two consistent, falsifiable stakeholders of 1-3 statements
-    each whose union is inconsistent (so the middle-ground search runs).
+def catalogue_profiles(rng: random.Random, letters: str, count: int, most: int,
+                       prefix: str) -> list[Doc]:
+    """``count`` random profiles over the binary variables ``letters`` with the
+    tie combiner: two consistent, falsifiable stakeholders of 1 to ``most``
+    statements each whose union is inconsistent (so the middle-ground search
+    runs).
 
-    Like the random hierarchical sets, the small profiles come from the fixed
-    catalogue seed (their cost spans 25-110 ms between draws). Statement and
-    stakeholder order steer the pool filter and the search here, so the run
-    seed only names the variables and stakeholders.
+    Like the random hierarchical sets, the profiles come from the fixed
+    catalogue seed: their cost spans 25-110 ms between draws over three
+    variables. Statement and stakeholder order steer the pool filter and the
+    search, so the run seed only names the variables and stakeholders.
     """
-    from concord import dsl, gadgets, oracle
+    from concord import oracle
     from concord.domain import Alternative, Combiner, Statement, VariableSpace
 
-    fixed = {
-        "moral-machine": gadgets.moral_machine_fixture()[0],
-        "nonuniqueness": gadgets.nonuniqueness_fixture()[0],
-        "nonexistence": gadgets.nonexistence_fixture()[0],
-    }
-    docs = {
-        name: Doc(
-            name, dsl.render_profile(p),
-            "tie" if p.combiner.kind == "table" else p.combiner.kind,
-            [(sh.name, [(s.left.values, s.right.values, s.strict) for s in sh.statements])
-             for sh in p.stakeholders],
-            {"names": p.space.variables, "domains": p.space.domains},
-        )
-        for name, p in fixed.items()
-    }
-
-    space = VariableSpace.binary(("a", "b", "c"))
+    n = len(letters)
+    space = VariableSpace.binary(tuple(letters))
     tie = Combiner.tie_over((0, 1))
 
     def to_stmts(raw):
@@ -365,22 +352,50 @@ def middle_ground_inputs(rng: random.Random) -> dict:
     def draw_stakeholder():
         while True:
             raw = []
-            for _ in range(cat.randint(1, 3)):
-                a = tuple(cat.randint(0, 1) for _ in range(3))
-                b = tuple(cat.randint(0, 1) for _ in range(3))
+            for _ in range(cat.randint(1, most)):
+                a = tuple(cat.randint(0, 1) for _ in range(n))
+                b = tuple(cat.randint(0, 1) for _ in range(n))
                 raw.append((a, b, cat.random() < 0.5))
             if usable(raw):
                 return raw
 
-    small = []
-    while len(small) < SMALL_PROFILES:
+    out = []
+    while len(out) < count:
         shs = [("p1", draw_stakeholder()), ("p2", draw_stakeholder())]
         union = to_stmts(shs[0][1] + shs[1][1])
         if oracle.brute_consistent(union, space, tie, "hier"):
             continue
-        names = ["%s%d" % (c, rng.randint(0, 99)) for c in "abc"]
+        names = ["%s%d" % (c, rng.randint(0, 99)) for c in letters]
         shs = [(who + "_" + str(rng.randint(0, 99)), raw) for who, raw in shs]
-        text = render(names, [1, 1, 1], "tie", "hierarchical", shs)
-        small.append(Doc("small-%d" % len(small), text, "tie", shs,
-                         {"names": names, "domains": space.domains}))
-    return {"fixed": docs, "small": small}
+        text = render(names, [1] * n, "tie", "hierarchical", shs)
+        out.append(Doc("%s-%d" % (prefix, len(out)), text, "tie", shs,
+                       {"names": names, "domains": space.domains}))
+    return out
+
+
+def _gadget(name: str) -> Doc:
+    from concord import dsl, gadgets
+
+    p = getattr(gadgets, name.replace("-", "_") + "_fixture")()[0]
+    return Doc(
+        name, dsl.render_profile(p),
+        "tie" if p.combiner.kind == "table" else p.combiner.kind,
+        [(sh.name, [(s.left.values, s.right.values, s.strict) for s in sh.statements])
+         for sh in p.stakeholders],
+        {"names": p.space.variables, "domains": p.space.domains},
+    )
+
+
+def middle_ground_inputs(rng: random.Random) -> dict:
+    """The nonexistence gadget and TINY_PROFILES catalogue profiles over two
+    binary variables."""
+    return {"nonexistence": _gadget("nonexistence"),
+            "tiny": catalogue_profiles(rng, "ab", TINY_PROFILES, 2, "tiny")}
+
+
+def gadget_inputs(rng: random.Random) -> dict:
+    """The moral-machine, nonuniqueness and nonexistence gadgets, and
+    SMALL_PROFILES catalogue profiles over three binary variables."""
+    return {"fixed": {name: _gadget(name)
+                      for name in ("moral-machine", "nonuniqueness", "nonexistence")},
+            "small": catalogue_profiles(rng, "abc", SMALL_PROFILES, 3, "small")}

@@ -11,11 +11,15 @@ stdout is one JSON object with ``correct``, ``attempted``, ``failed`` and
 ``metrics``.
 
 --trace 0 reports the end-to-end metrics:
-    setup_s         median over fresh interpreters of import + build profiles
-    run_s           time to finish the request list once: the sum over the list
-                    of each request's typical latency (``typical_latency``)
-    request_ms_p50  median over the list's distinct requests of the same
+    setup_s         best over fresh interpreters, spread over the run, of
+                    import + build profiles
+    run_s           time to finish the request list once: the sum over the
+                    list of each request's typical latency
+    request_ms_p50  median over the list's distinct requests of each one's
+                    typical latency
     peak_rss_mb     peak resident set of this process after the rounds
+"Typical" is the workload's statistic over the run's repeats: their best or
+their median (``Workload.statistic``).
 --trace 1 wraps the program's functions (see tracing.py) and reports the
 per-layer metrics for one set-up plus one round instead.
 
@@ -40,7 +44,11 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 RESULTS = HERE / "results"
-SETUP_SAMPLES = 3
+# Cold set-ups per run. The machine the reference figures come from runs up
+# to twice as slow in stretches that last from seconds to minutes; the best of
+# several set-ups spread over the run finds its unhindered speed, where a few
+# taken back to back all land in the same stretch.
+SETUP_PROBES = 8
 # The interpreter seeds string hashing anew in every process; pin it so
 # that runs differ only by what the seed generates.
 HASH_SEED = "0"
@@ -55,47 +63,57 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
-def setup_seconds(texts: list[str]) -> list[float]:
-    """Cold set-up times, each in a fresh interpreter."""
-    env = dict(os.environ, PYTHONHASHSEED=HASH_SEED)
-    payload = json.dumps(texts)
-    out = []
-    for _ in range(SETUP_SAMPLES):
+class SetupProbes:
+    """Cold set-ups, each in a fresh interpreter, spread evenly over the run."""
+
+    def __init__(self, texts: list[str], seconds: float):
+        self.payload = json.dumps(texts)
+        self.gap = seconds / SETUP_PROBES
+        self.times: list[float] = []
+        self.spent = 0.0  # wall time the probes took, left out of the run's clock
+
+    def take(self, clock: float | None = None) -> None:
+        """One probe, or, given the run's clock, one if the next is due."""
+        if len(self.times) >= SETUP_PROBES:
+            return
+        if clock is not None and clock < len(self.times) * self.gap:
+            return
+        t0 = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, str(HERE / "setup_probe.py"), str(SRC)],
-            input=payload, capture_output=True, text=True, env=env, timeout=120,
+            input=self.payload, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=HASH_SEED), timeout=120,
         )
         if proc.returncode != 0:
             raise RuntimeError("set-up probe failed: " + proc.stderr.strip()[-500:])
-        out.append(float(proc.stdout.strip().splitlines()[-1]))
-    return out
-
-
-# A request's typical latency is the best of its repeats when it has at
-# least this many, else their median. A shared machine's speed can swing by
-# half for a minute at a time; a best of a few hundred repeats finds the
-# unhindered speed, while a best of five depends on catching a fast moment.
-MANY_REPEATS = 20
-
-
-def typical_latency(times: list[float]) -> float:
-    return min(times) if len(times) >= MANY_REPEATS else statistics.median(times)
+        self.times.append(float(proc.stdout.strip().splitlines()[-1]))
+        self.spent += time.perf_counter() - t0
 
 
 class Raised(str):
     """What a request that raised returns instead of its summary."""
 
 
-def run_rounds(requests, is_failure, seconds: float, tracer=None):
-    """Whole rounds until ``seconds`` have passed; latencies by request label."""
+def run_rounds(requests, is_failure, seconds: float, tracer=None, probes=None):
+    """Whole rounds until ``seconds`` have passed; latencies by request label.
+
+    Every answer after a request's first, in the same round or a later one,
+    must equal its first; each that does not counts as drift.
+    """
     latencies: dict[str, list[float]] = {}
     round_times: list[float] = []
-    first: dict | None = None
+    first: dict = {}
     failed = drift = 0
     start = time.perf_counter()
+
+    def clock():
+        return time.perf_counter() - start - (probes.spent if probes else 0.0)
+
     while True:
-        got, spent = {}, 0.0
+        spent = 0.0
         for label, call in requests:
+            if probes:
+                probes.take(clock())
             gc.collect()
             frame = tracer.begin("bench.request") if tracer else None
             t0 = time.perf_counter()
@@ -108,17 +126,16 @@ def run_rounds(requests, is_failure, seconds: float, tracer=None):
                 tracer.end(frame)
             if isinstance(out, Raised) or is_failure(out):
                 failed += 1
-            got[label] = out
+            if label not in first:
+                first[label] = out
+            elif out != first[label]:
+                drift += 1
             latencies.setdefault(label, []).append(dt)
             spent += dt
         round_times.append(spent)
-        if first is None:
-            first = got
-            if tracer:
-                tracer.keep_spans = False
-        elif got != first:
-            drift += 1
-        if time.perf_counter() - start >= seconds:
+        if tracer:
+            tracer.keep_spans = False
+        if clock() >= seconds:
             return first, latencies, round_times, failed, drift
 
 
@@ -139,8 +156,7 @@ def main(argv=None) -> int:
               % (args.workload, ", ".join(workloads.WORKLOADS)), file=sys.stderr)
         return 2
     wl = workloads.WORKLOADS[args.workload](random.Random(args.seed))
-    texts = [doc.text for doc in wl.docs]
-    setup = [] if args.trace else setup_seconds(texts)
+    probes = None if args.trace else SetupProbes([doc.text for doc in wl.docs], args.seconds)
 
     import concord
 
@@ -163,7 +179,7 @@ def main(argv=None) -> int:
     gc.freeze()  # the inputs live for the whole run; keep them out of collections
 
     first, latencies, round_times, failed, drift = run_rounds(
-        requests, wl.is_failure, args.seconds, tracer)
+        requests, wl.is_failure, args.seconds, tracer, probes)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     if tracer:
         tracer.enabled = False
@@ -171,19 +187,25 @@ def main(argv=None) -> int:
     raised = ["%s raised %s" % (k, v) for k, v in first.items() if isinstance(v, Raised)]
     problems = raised or wl.check(first)
     if drift:
-        problems.append("%d rounds answered differently from the first" % drift)
+        problems.append("%d repeated requests answered differently from their first" % drift)
+    while probes and len(probes.times) < SETUP_PROBES:
+        probes.take()
 
-    typical = {label: typical_latency(times) for label, times in latencies.items()}
+    typical = {label: wl.statistic(times) for label, times in latencies.items()}
+    # No single round need have taken this long: it is the list's time with
+    # each request at its typical speed, steadier than any one round's time.
+    run_s = sum(typical[label] for label, _ in requests)
     if tracer:
         layers = tracing.layer_metrics(setup_layers, tracer.snapshot(), len(round_times))
-        # Per-layer figures are per-round averages; so is the traced round time.
-        layers["trace.run_s"] = (sum(round_times) / len(round_times), "s")
+        # Per-layer figures are per-round averages. The traced round time is
+        # run_s's: traced minus untraced run_s is the tracing overhead.
+        layers["trace.run_s"] = (run_s, "s")
         layers["trace.setup_s"] = (setup_inproc, "s")
         metrics = {k: {"value": v, "unit": u} for k, (v, u) in layers.items()}
     else:
         metrics = {
-            "setup_s": {"value": statistics.median(setup), "unit": "s"},
-            "run_s": {"value": sum(typical[label] for label, _ in requests), "unit": "s"},
+            "setup_s": {"value": min(probes.times), "unit": "s"},
+            "run_s": {"value": run_s, "unit": "s"},
             "request_ms_p50": {"value": statistics.median(typical.values()) * 1000.0,
                                "unit": "ms"},
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
@@ -194,7 +216,8 @@ def main(argv=None) -> int:
     detail = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "rounds": len(round_times), "requests_per_round": len(requests),
-        "round_s": round_times, "setup_samples_s": setup, "setup_inprocess_s": setup_inproc,
+        "round_s": round_times,
+        "setup_samples_s": probes.times if probes else [], "setup_inprocess_s": setup_inproc,
         "request_ms_typical": {label: t * 1000.0 for label, t in typical.items()},
         "request_ms_median": {label: statistics.median(times) * 1000.0
                               for label, times in latencies.items()},

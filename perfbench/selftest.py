@@ -3,10 +3,10 @@
 For each workload this takes a right answer, confirms the workload's check
 accepts it, then feeds the check wrong answers one at a time and confirms
 each is rejected. Right answers come from one round of the program for
-lex-existence and hier-consistency. For middle-ground only the small random
-profiles are run; the three gadget answers are written out here (the
-moral-machine witness, the grounds of the nonuniqueness sweep, "none"), so
-the test does not wait half a minute for the two big requests.
+lex-existence, hier-consistency and middle-ground. For paper-gadgets only
+the small random profiles are run; the three gadget answers are written out
+here (the moral-machine witness, the grounds of the nonuniqueness sweep,
+"none"), so the test does not wait half a minute for the two big requests.
 
 Usage: python3 perfbench/selftest.py [--seed N]
 Exits 0 when every right answer passes and every wrong one is caught.
@@ -26,6 +26,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 import checks  # noqa: E402
 import inputs  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -119,6 +120,32 @@ def _payload(command, verdict, **extra):
 
 def middle_ground_cases(seed):
     wl = workloads.middle_ground(random.Random(seed))
+    got = _answers(wl)
+    exists = next(label for label, (rc, out) in got.items()
+                  if label.endswith("/mg-exists") and json.loads(out)["verdict"] == "exists")
+    doc = exists.split("/")[0]
+    construct = json.loads(got[doc + "/mg-construct"][1])
+    verified = json.loads(got[doc + "/mg-construct-verify"][1])
+    fewer = dict(construct, grounds=construct["grounds"][:-1])
+    failed = copy.deepcopy(verified)
+    next(iter(failed["postulates"].values()))["p1"] = "fail"
+    cases = [
+        ("tiny mg-exists: exit code 2", exists, (2, got[exists][1])),
+        ("tiny mg-exists: called none", exists, _payload("mg-exists", "none")),
+        ("tiny mg-exists: tautology as witness", exists,
+         _payload("mg-exists", "exists", witnesses=["(0,0) >= (0,0)"])),
+        ("tiny mg-construct: a ground missing", doc + "/mg-construct",
+         (0, json.dumps(fewer))),
+        ("tiny --verify: postulate audit fails", doc + "/mg-construct-verify",
+         (0, json.dumps(failed))),
+        ("nonexistence: mg-exists says exists", "nonexistence/mg-exists",
+         _payload("mg-exists", "exists", witnesses=["(1,0) > (0,0)"])),
+    ]
+    return wl, got, cases
+
+
+def gadget_cases(seed):
+    wl = workloads.paper_gadgets(random.Random(seed))
     small = [label for label, _ in wl.requests({}) if label.startswith("small-")]
     labels = ["moral-machine/mg-exists", "nonuniqueness/mg-construct",
               "nonexistence/mg-exists", "nonexistence/mg-construct"]
@@ -162,13 +189,21 @@ def middle_ground_cases(seed):
     return wl, got, cases
 
 
+def drift_counted(answers: list) -> int:
+    """Drift ``run.run_rounds`` counts over one round of one repeated request."""
+    it = iter(answers)
+    requests = [("request", lambda: next(it)) for _ in answers]
+    return run.run_rounds(requests, lambda out: False, 0.0)[4]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     bad = 0
     for name, make in (("lex-existence", lex_cases), ("hier-consistency", hier_cases),
-                       ("middle-ground", middle_ground_cases)):
+                       ("middle-ground", middle_ground_cases),
+                       ("paper-gadgets", gadget_cases)):
         wl, got, cases = make(args.seed)
         problems = wl.check(got)
         print("%s: right answers %s" % (name, "accepted" if not problems else
@@ -181,6 +216,10 @@ def main(argv=None) -> int:
             print("  %-50s %s" % (what, "rejected: " + problems[0][:70] if problems
                                   else "ACCEPTED"))
             bad += not problems
+    same, changed = drift_counted([1, 1, 1]), drift_counted([1, 1, 2])
+    print("repeats: same answers %s, a changed repeat %s" % (
+        "accepted" if not same else "REJECTED", "rejected" if changed else "ACCEPTED"))
+    bad += bool(same) + (not changed)
     print("selftest %s" % ("passed" if not bad else "FAILED (%d)" % bad))
     return 1 if bad else 0
 

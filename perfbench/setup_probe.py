@@ -2,8 +2,8 @@
 
 Reads the documents as a JSON list on stdin, then times, from inside a fresh
 interpreter, ``import concord`` plus ``parse_profile`` on each document, and
-prints the seconds. ``run.py`` starts it a few times per run and reports the
-median as ``setup_s``.
+prints the seconds. ``run.py`` starts it several times, spread over a run,
+and reports the best as ``setup_s``.
 
 Usage: python3 perfbench/setup_probe.py <src dir>  < documents.json
 """

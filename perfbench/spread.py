@@ -5,7 +5,7 @@ per-run values, as a share of their median (``statistics.quantiles`` with
 n=4). Runs go one after another, each in its own process.
 
 Usage:
-    python3 perfbench/spread.py --workload NAME [--seeds 1-10] [--seconds 20] [--trace 0]
+    python3 perfbench/spread.py --workload NAME [--seeds 1-10] [--seconds 30]
 """
 
 from __future__ import annotations
@@ -29,15 +29,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="1-10", help="first-last, inclusive")
-    ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--seconds", type=int, default=30)
     args = ap.parse_args(argv)
     first, last = (int(x) for x in args.seeds.split("-"))
     runs = []
     for seed in range(first, last + 1):
         proc = subprocess.run(
             [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
-             "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)],
+             "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"],
             capture_output=True, text=True, timeout=900,
         )
         if proc.returncode != 0:

@@ -1,8 +1,8 @@
-"""The three workloads: documents, the fixed request list, and the checks.
+"""The four workloads: documents, the fixed request list, and the checks.
 
 A request is one library call or one in-process ``concord.cli.main`` call.
-Each returns a plain summary of the program's answer; the first round's
-summaries go to the checks, and every later round must repeat them exactly.
+Each returns a plain summary of the program's answer; each request's first
+summary goes to the checks, and every repeat of it must equal it exactly.
 Program functions are looked up on their module at call time, so the
 tracer's wrappers see every call.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import statistics
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -26,6 +27,10 @@ class Workload:
     requests: Callable[[dict], list[tuple[str, Callable[[], object]]]]
     # summaries by label -> problems found
     check: Callable[[dict], list[str]]
+    # a request's latencies over one run -> its typical latency. Fixed per
+    # workload, so that a faster program is scored with the same statistic as
+    # a slower one.
+    statistic: Callable[[list[float]], float]
     # whether a request's summary reports a failed operation
     is_failure: Callable[[object], bool] = lambda out: False
 
@@ -76,7 +81,9 @@ def lex_existence(rng) -> Workload:
             errs += checks.check_lex_consistency(doc.statements, got[doc.name + "/union"])
         return errs
 
-    return Workload(docs, requests, check)
+    # A few hundred repeats a run: their best finds the machine's unhindered
+    # speed whatever mix of fast and slow stretches the run saw.
+    return Workload(docs, requests, check, min)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +135,9 @@ def hier_consistency(rng) -> Workload:
             errs += checks.check_random_pair(doc, copy, got[doc.name], got[copy.name])
         return errs
 
-    return Workload(docs, requests, check)
+    # Five to eight repeats a run: a best of so few depends on catching a fast
+    # moment, their median less so.
+    return Workload(docs, requests, check, statistics.median)
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +165,44 @@ MG_VERIFY = ["mg-construct", "-", "--language", "candidates", "--verify", "--jso
 
 def middle_ground(rng) -> Workload:
     made = inputs.middle_ground_inputs(rng)
+    tiny, nonexistence = made["tiny"], made["nonexistence"]
+    plan = [(doc.name + suffix, doc, argv) for doc in tiny for suffix, argv in (
+        ("/mg-exists", MG_EXISTS), ("/mg-construct", MG_CONSTRUCT),
+        ("/mg-construct-verify", MG_VERIFY))]
+    plan += [("nonexistence/mg-exists", nonexistence, MG_EXISTS),
+             ("nonexistence/mg-construct", nonexistence, MG_CONSTRUCT)]
+
+    def requests(profiles):
+        return [(label, lambda d=doc, a=argv: cli_call(a, d.text)) for label, doc, argv in plan]
+
+    def check(got):
+        errs = checks.check_none(got["nonexistence/mg-exists"])
+        errs += checks.check_none(got["nonexistence/mg-construct"])
+        for doc in tiny:
+            errs += checks.check_exists(doc, got[doc.name + "/mg-exists"])
+            errs += checks.check_small(doc, got[doc.name + "/mg-construct"])
+            errs += checks.check_verified(doc, got[doc.name + "/mg-construct-verify"])
+        return errs
+
+    # Requests of a few milliseconds, repeated in about a hundred rounds a run:
+    # their best finds the machine's unhindered speed, as on lex-existence.
+    return Workload([nonexistence] + tiny, requests, check, min,
+                    is_failure=lambda out: out[0] != 0)
+
+
+def paper_gadgets(rng) -> Workload:
+    made = inputs.gadget_inputs(rng)
     fixed, small = made["fixed"], made["small"]
-    # Every small profile is requested three times a round, once before, between
+    # Every small profile is requested six times a round, twice before, between
     # and after the two big requests, so its median latency is taken over three
     # stretches of the round rather than one.
-    small_pass = [(doc.name + "/mg-construct", doc, MG_CONSTRUCT) for doc in small]
+    small_passes = [(doc.name + "/mg-construct", doc, MG_CONSTRUCT) for doc in small] * 2
     plan = (
-        small_pass
+        small_passes
         + [("moral-machine/mg-exists", fixed["moral-machine"], MG_EXISTS)]
-        + small_pass
+        + small_passes
         + [("nonuniqueness/mg-construct", fixed["nonuniqueness"], MG_VERIFY)]
-        + small_pass
+        + small_passes
         + [("nonexistence/mg-exists", fixed["nonexistence"], MG_EXISTS),
            ("nonexistence/mg-construct", fixed["nonexistence"], MG_CONSTRUCT)]
     )
@@ -175,7 +211,7 @@ def middle_ground(rng) -> Workload:
         return [(label, lambda d=doc, a=argv: cli_call(a, d.text)) for label, doc, argv in plan]
 
     def check(got):
-        errs = checks.check_moral_machine(fixed["moral-machine"], got["moral-machine/mg-exists"])
+        errs = checks.check_witness(fixed["moral-machine"], got["moral-machine/mg-exists"])
         want = checks.nonuniqueness_grounds(fixed["nonuniqueness"])
         errs += checks.check_nonuniqueness(
             fixed["nonuniqueness"], got["nonuniqueness/mg-construct"], want)
@@ -185,7 +221,8 @@ def middle_ground(rng) -> Workload:
             errs += checks.check_small(doc, got[doc.name + "/mg-construct"])
         return errs
 
-    return Workload(list(fixed.values()) + small, requests, check,
+    # One round a run, each small profile six times in it: the median.
+    return Workload(list(fixed.values()) + small, requests, check, statistics.median,
                     is_failure=lambda out: out[0] != 0)
 
 
@@ -193,4 +230,5 @@ WORKLOADS = {
     "lex-existence": lex_existence,
     "hier-consistency": hier_consistency,
     "middle-ground": middle_ground,
+    "paper-gadgets": paper_gadgets,
 }
