@@ -118,6 +118,33 @@ def _verdict_word(consistent: bool) -> str:
     return "consistent" if consistent else "inconsistent"
 
 
+def _emit_grounds(
+    args: argparse.Namespace,
+    command: str,
+    grounds: Sequence[Sequence[Statement]],
+    stats: dict,
+    postulates: dict | None = None,
+) -> int:
+    """Report middle grounds, with each ground's postulate verdicts if given."""
+    rendered = [[str(s) for s in ground] for ground in grounds]
+    verdict = "exists" if rendered else "none"
+    lines = [verdict, "grounds: %d" % len(rendered)]
+    for i, ground in enumerate(rendered):
+        lines.append("ground %d (%d statements):" % (i, len(ground)))
+        lines.extend("  " + s for s in ground)
+        if postulates is not None:
+            checks = postulates["ground-%d" % i]
+            lines.append(
+                "  postulates: " + " ".join(
+                    "%s=%s" % (k, v) for k, v in sorted(checks.items())
+                )
+            )
+    payload = _payload(
+        command, verdict, grounds=rendered, postulates=postulates, stats=stats
+    )
+    return _emit(args, lines, payload)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -194,10 +221,6 @@ def _cmd_mg_construct(args: argparse.Namespace) -> int:
     doc, profile = _load_profile(args)
     limits = _load_limits(args)
     res = midground.construct_mgs(profile, args.language, limits)
-    grounds = [[str(s) for s in ground] for ground in res.grounds]
-    verdict = "exists" if grounds else "none"
-    stats = dict(res.stats)
-    stats["exhaustive"] = res.exhaustive
     postulates = None
     if args.verify:
         postulates = {}
@@ -210,22 +233,8 @@ def _cmd_mg_construct(args: argparse.Namespace) -> int:
                 "p4": report.p4.verdict,
                 "p5": report.p5.verdict,
             }
-    lines = [verdict, "grounds: %d" % len(grounds)]
-    for i, ground in enumerate(grounds):
-        lines.append("ground %d (%d statements):" % (i, len(ground)))
-        lines.extend("  " + s for s in ground)
-        if postulates is not None:
-            checks = postulates["ground-%d" % i]
-            lines.append(
-                "  postulates: " + " ".join(
-                    "%s=%s" % (k, v) for k, v in sorted(checks.items())
-                )
-            )
-    payload = _payload(
-        "mg-construct", verdict,
-        grounds=grounds, postulates=postulates, stats=stats,
-    )
-    return _emit(args, lines, payload)
+    stats = dict(res.stats, exhaustive=res.exhaustive)
+    return _emit_grounds(args, "mg-construct", res.grounds, stats, postulates)
 
 
 def _cmd_gadget(args: argparse.Namespace) -> int:
@@ -262,17 +271,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return _emit(args, [verdict], _payload("oracle-entails", verdict))
     language, exhaustive = midground._resolve_language(profile, args.language, limits)
     res = oracle.brute_mgs(profile, language)
-    grounds = [[str(s) for s in ground] for ground in res.grounds]
-    verdict = "exists" if grounds else "none"
-    stats = dict(res.stats)
-    stats["exhaustive"] = exhaustive
-    lines = [verdict, "grounds: %d" % len(grounds)]
-    for i, ground in enumerate(grounds):
-        lines.append("ground %d (%d statements):" % (i, len(ground)))
-        lines.extend("  " + s for s in ground)
-    return _emit(
-        args, lines, _payload("oracle-mgs", verdict, grounds=grounds, stats=stats)
-    )
+    stats = dict(res.stats, exhaustive=exhaustive)
+    return _emit_grounds(args, "oracle-mgs", res.grounds, stats)
 
 
 # ---------------------------------------------------------------------------

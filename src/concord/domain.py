@@ -6,16 +6,26 @@ serve as dict keys throughout the reasoning layers.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainMismatchError
 
 # Combiner kinds with built-in integer semantics. "table" is the escape hatch
 # for custom associative-commutative operations over a finite value universe.
-BUILTIN_KINDS = ("sum", "product", "min", "max", "and", "or")
+_BUILTIN_OPS: dict[str, Callable[[int, int], int]] = {
+    "sum": operator.add,
+    "product": operator.mul,
+    "min": min,
+    "max": max,
+    "and": operator.and_,
+    "or": operator.or_,
+}
+BUILTIN_KINDS = tuple(_BUILTIN_OPS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,16 +108,28 @@ class Combiner:
     combiners carry an explicit value universe; the fold must stay inside it,
     and values are compared by their rank in the universe rather than by the
     usual integer order.
+
+    This is the one place that knows how values combine and compare:
+    ``op`` is the binary operation as a plain callable and ``rank`` maps each
+    table value to its position in the universe (``None`` for built-ins).
+    Both are derived once on construction.
     """
 
     kind: str
     table: tuple[tuple[int, int, int], ...] | None = None
     universe: tuple[int, ...] | None = None
+    op: Callable[[int, int], int] = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    rank: dict[int, int] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.kind in BUILTIN_KINDS:
             if self.table is not None or self.universe is not None:
                 raise DomainMismatchError(f"{self.kind!r} takes no table")
+            object.__setattr__(self, "op", _BUILTIN_OPS[self.kind])
             return
         if self.kind != "table":
             raise DomainMismatchError(f"unknown combiner kind {self.kind!r}")
@@ -138,51 +160,42 @@ class Combiner:
                                 f"table not associative at ({a},{b},{c})"
                             )
 
-    def _lookup(self, a: int, b: int) -> int:
-        assert self.table is not None
-        for x, y, out in self.table:
-            if x == a and y == b:
-                return out
-        raise DomainMismatchError(f"no table entry for ({a},{b})")
+        def lookup(a: int, b: int) -> int:
+            try:
+                return seen[(a, b)]
+            except KeyError:
+                raise DomainMismatchError(f"no table entry for ({a},{b})") from None
+
+        object.__setattr__(self, "op", lookup)
+        object.__setattr__(self, "rank", {v: i for i, v in enumerate(self.universe)})
 
     def fold(self, values: Sequence[int]) -> int:
         """Combine one or more values. A singleton folds to the value itself."""
         if not values:
             raise DomainMismatchError("cannot fold an empty value sequence")
-        if self.kind == "table":
-            uni = set(self.universe or ())
+        if self.rank is not None:
             for v in values:
-                if v not in uni:
+                if v not in self.rank:
                     raise DomainMismatchError(f"value {v} outside combiner universe")
-        acc = values[0]
-        for v in values[1:]:
-            if self.kind == "sum":
-                acc = acc + v
-            elif self.kind == "product":
-                acc = acc * v
-            elif self.kind == "min":
-                acc = min(acc, v)
-            elif self.kind == "max":
-                acc = max(acc, v)
-            elif self.kind == "and":
-                acc = acc & v
-            elif self.kind == "or":
-                acc = acc | v
-            else:
-                acc = self._lookup(acc, v)
-        return acc
+        return functools.reduce(self.op, values)
 
     def compare_values(self, a: int, b: int) -> int:
         """Three-way compare in the combiner's value order (-1, 0 or 1)."""
-        if self.kind == "table":
-            assert self.universe is not None
+        # Hot path (millions of calls in the hierarchical search): one inline
+        # dict lookup per side, no nested method calls.
+        rank = self.rank
+        if rank is not None:
             try:
-                ra = self.universe.index(a)
-                rb = self.universe.index(b)
-            except ValueError as exc:
-                raise DomainMismatchError(f"value outside combiner universe: {exc}")
-            return (ra > rb) - (ra < rb)
+                a, b = rank[a], rank[b]
+            except KeyError as exc:
+                raise DomainMismatchError(
+                    f"value {exc.args[0]} outside combiner universe"
+                ) from None
         return (a > b) - (a < b)
+
+    def signs(self, s: "Statement") -> tuple[int, ...]:
+        """Per-variable comparison signs of a statement's left against its right."""
+        return tuple(map(self.compare_values, s.left.values, s.right.values))
 
     @classmethod
     def tie_over(cls, values: Iterable[int]) -> "Combiner":
@@ -281,17 +294,11 @@ def binarize(s: Statement, combiner: Combiner | None = None) -> Statement:
     the comparison between the two sides at that variable. Comparison uses the
     combiner's value order when one is supplied.
     """
-    lv: list[int] = []
-    rv: list[int] = []
-    for a, b in zip(s.left.values, s.right.values):
-        c = combiner.compare_values(a, b) if combiner else (a > b) - (a < b)
-        if c > 0:
-            lv.append(1)
-            rv.append(0)
-        elif c < 0:
-            lv.append(0)
-            rv.append(1)
-        else:
-            lv.append(0)
-            rv.append(0)
-    return Statement(Alternative(tuple(lv)), Alternative(tuple(rv)), s.strict)
+    signs = (combiner or _INTEGER_ORDER).signs(s)
+    left = Alternative(tuple(1 if x > 0 else 0 for x in signs))
+    right = Alternative(tuple(1 if x < 0 else 0 for x in signs))
+    return Statement(left, right, s.strict)
+
+
+# Every built-in compares values in the plain integer order.
+_INTEGER_ORDER = Combiner("sum")

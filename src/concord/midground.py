@@ -16,7 +16,7 @@ equivalence classes; a maximal subset always takes whole classes.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .domain import (
     dedupe_statements,
 )
 from .errors import CapacityError, DomainMismatchError, TrivialStakeholderError
-from .oracle import _canonical_grounds, brute_p5
+from .oracle import brute_p5
 from .reasoner import (
     DEFAULT_LIMITS,
     Limits,
@@ -40,7 +40,6 @@ from .reasoner import (
     entails,
     equivalent,
     is_consistent,
-    is_consistent_lex,
     sign_matrix,
 )
 from .results import (
@@ -51,6 +50,7 @@ from .results import (
     MiddleGroundSet,
     PostulateCheck,
     PostulateReport,
+    canonical_grounds,
 )
 
 
@@ -133,15 +133,18 @@ def lex_candidates(space: VariableSpace) -> tuple[Statement, ...]:
     when one of these survives the compatibility and entailment filters.
     """
     n = space.size
-    weak: list[Statement] = []
-    strict: list[Statement] = []
-    for v in range(n):
-        others = Alternative(tuple(0 if u == v else 1 for u in range(n)))
-        only_v = Alternative(tuple(1 if u == v else 0 for u in range(n)))
-        zero = Alternative((0,) * n)
-        weak.append(Statement(others, only_v, strict=False))
-        strict.append(Statement(others, zero, strict=True))
-    return tuple(weak + strict)
+    return tuple(
+        _lex_candidate(n, v, strict) for strict in (False, True) for v in range(n)
+    )
+
+
+def _lex_candidate(n: int, v: int, strict: bool) -> Statement:
+    """The weak or strict lexicographic candidate statement for variable v."""
+    others = Alternative(tuple(0 if u == v else 1 for u in range(n)))
+    if strict:
+        return Statement(others, Alternative((0,) * n), strict=True)
+    only_v = Alternative(tuple(1 if u == v else 0 for u in range(n)))
+    return Statement(others, only_v, strict=False)
 
 
 def hier_candidates(
@@ -163,11 +166,11 @@ def hier_candidates(
 
 def _candidate_pool(
     profile: Profile, language: Sequence[Statement], limits: Limits
-) -> tuple[Statement, ...]:
-    """Language statements passing the three per-statement filters."""
+) -> Iterator[Statement]:
+    """Language statements passing the three per-statement filters, lazily
+    and in language order."""
     sp, c, mc = profile.space, profile.combiner, profile.model_class
     union = profile.union_statements()
-    pool: list[Statement] = []
     for s in dedupe_statements(language):
         if statement_triviality(s, sp, c, mc, limits) is not Triviality.NON_TRIVIAL:
             continue
@@ -178,8 +181,7 @@ def _candidate_pool(
             for sh in profile.stakeholders
         ):
             continue
-        pool.append(s)
-    return tuple(pool)
+        yield s
 
 
 def exists_mg_lex(
@@ -213,13 +215,13 @@ def exists_mg_lex(
             [union_index[s] for s in dedupe_statements(sh.statements)], dtype=np.intp
         )
         stakeholder_rows.append(rows)
-        if not _lex_consistent_from_signs(signs[rows], strict[rows], nvars):
+        if _lex_consistent_from_signs(signs[rows], strict[rows], nvars)[0] is None:
             raise TrivialStakeholderError(f"stakeholder {sh.name!r} is inconsistent")
         if bool(tautology_row[rows].all()):
             raise TrivialStakeholderError(
                 f"stakeholder {sh.name!r} asserts nothing falsifiable"
             )
-    if _lex_consistent_from_signs(signs, strict, nvars):
+    if _lex_consistent_from_signs(signs, strict, nvars)[0] is not None:
         return ExistenceResult(
             True, via_union=True, stats={"pairwise_checks": 0, "entailment_checks": 0}
         )
@@ -258,13 +260,12 @@ def exists_mg_lex(
         "pairwise_checks": 2 * nvars * len(union),
         "entailment_checks": 2 * nvars * len(profile.stakeholders),
     }
-    candidates = lex_candidates(sp)
-    for v in range(nvars):
-        if ok_weak[v]:
-            return ExistenceResult(True, witness=candidates[v], stats=stats)
-    for v in range(nvars):
-        if ok_strict[v]:
-            return ExistenceResult(True, witness=candidates[nvars + v], stats=stats)
+    # The first surviving candidate in lex_candidates order is the witness.
+    for strict_candidate, ok in ((False, ok_weak), (True, ok_strict)):
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            witness = _lex_candidate(nvars, int(hits[0]), strict_candidate)
+            return ExistenceResult(True, witness=witness, stats=stats)
     return ExistenceResult(False, stats=stats)
 
 
@@ -275,7 +276,9 @@ def exists_mg_hier(
 
     Consistent union settles it. Otherwise a middle ground exists exactly when
     some non-trivial statement passes the compatibility and entailment
-    filters, since any single such statement is itself consistent.
+    filters, since any single such statement is itself consistent. The scan
+    stops at the first such statement in language order, so ``stats["pool"]``
+    counts the pool members found before stopping (0 or 1), not the pool.
     """
     if profile.model_class != "hier":
         raise DomainMismatchError("exists_mg_hier needs a hierarchical profile")
@@ -285,11 +288,9 @@ def exists_mg_hier(
     if is_consistent(union, sp, c, "hier", limits).consistent:
         return ExistenceResult(True, via_union=True)
     cands = hier_candidates(sp, c, limits)
-    pool = _candidate_pool(profile, cands, limits)
-    stats = {"candidates": len(cands), "pool": len(pool)}
-    if pool:
-        return ExistenceResult(True, witness=pool[0], stats=stats)
-    return ExistenceResult(False, stats=stats)
+    witness = next(_candidate_pool(profile, cands, limits), None)
+    stats = {"candidates": len(cands), "pool": int(witness is not None)}
+    return ExistenceResult(witness is not None, witness=witness, stats=stats)
 
 
 def _resolve_language(
@@ -325,10 +326,7 @@ def _group_equivalent(
     if mc == "lex":
         keyed: dict[tuple, list[Statement]] = {}
         for s in pool:
-            signs = tuple(
-                c.compare_values(a, b) for a, b in zip(s.left.values, s.right.values)
-            )
-            keyed.setdefault((signs, s.strict), []).append(s)
+            keyed.setdefault((c.signs(s), s.strict), []).append(s)
         return list(keyed.values())
     classes: list[list[Statement]] = []
     for s in pool:
@@ -366,12 +364,12 @@ def construct_mgs(
     union = profile.union_statements()
     if is_consistent(union, sp, c, mc, limits).consistent:
         return MiddleGroundSet(
-            grounds=_canonical_grounds((union,)),
+            grounds=canonical_grounds((union,)),
             exhaustive=True,
             stats={"via_union": True},
         )
     lang, exhaustive = _resolve_language(profile, language, limits)
-    pool = _candidate_pool(profile, lang, limits)
+    pool = tuple(_candidate_pool(profile, lang, limits))
     stats: dict = {
         "language": len(lang),
         "pool": len(pool),
@@ -419,7 +417,7 @@ def construct_mgs(
         for picked in found
     ]
     return MiddleGroundSet(
-        grounds=_canonical_grounds(grounds), exhaustive=exhaustive, stats=stats
+        grounds=canonical_grounds(grounds), exhaustive=exhaustive, stats=stats
     )
 
 
@@ -428,7 +426,6 @@ def check_postulates(
     profile: Profile,
     check_p5: bool = False,
     limits: Limits = DEFAULT_LIMITS,
-    p3_over_sets: bool = False,
 ) -> PostulateReport:
     """Evaluate a candidate set against the five middle-ground postulates.
 
@@ -436,11 +433,6 @@ def check_postulates(
     set: with a consistent union it reduces to two entailment questions against
     the union, otherwise it runs the oracle scan over the default language and
     reports not-checked when that scan is out of capacity.
-
-    ``p3_over_sets`` switches the compatibility postulate from its literal
-    per-statement form ({candidate statement, stakeholder statement} pairs) to
-    a stronger whole-set variant ({candidate statement} against each full
-    stakeholder set). The literal form is the default.
     """
     _require_nontrivial(profile, limits)
     sp, c, mc = profile.space, profile.combiner, profile.model_class
@@ -460,20 +452,14 @@ def check_postulates(
     else:
         p2 = PostulateCheck(PASS)
 
-    p3_bad: list[Statement] = []
-    for s in cand:
-        if p3_over_sets:
-            bad = any(
-                not is_consistent((s,) + sh.statements, sp, c, mc, limits).consistent
-                for sh in profile.stakeholders
-            )
-        else:
-            bad = any(
-                not is_consistent((s, u), sp, c, mc, limits).consistent for u in union
-            )
-        if bad:
-            p3_bad.append(s)
-    p3 = PostulateCheck(PASS if not p3_bad else FAIL, tuple(p3_bad))
+    p3_bad = tuple(
+        s
+        for s in cand
+        if any(
+            not is_consistent((s, u), sp, c, mc, limits).consistent for u in union
+        )
+    )
+    p3 = PostulateCheck(PASS if not p3_bad else FAIL, p3_bad)
 
     p4_bad = tuple(
         s

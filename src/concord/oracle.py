@@ -28,7 +28,7 @@ from .domain import (
     dedupe_statements,
 )
 from .errors import CapacityError
-from .results import MiddleGroundSet
+from .results import MiddleGroundSet, canonical_grounds
 from .models import (
     HierarchicalModel,
     LexicographicModel,
@@ -262,7 +262,7 @@ def brute_mgs(
     union = profile.union_statements()
     if brute_consistent(union, profile.space, profile.combiner, profile.model_class, budget):
         return MiddleGroundSet(
-            grounds=_canonical_grounds((union,)), exhaustive=True, stats={}
+            grounds=canonical_grounds((union,)), exhaustive=True, stats={}
         )
     pm = pool_masks(profile, language, budget)
     lang = dedupe_statements(language)
@@ -298,7 +298,7 @@ def _mgs_by_definition(pm: PoolMasks) -> tuple[tuple[Statement, ...], ...]:
         # every model in the set satisfies.
         g = tuple(s for s in pool if m & pm.masks[s] == m)
         grounds.append(g)
-    return _canonical_grounds(grounds)
+    return canonical_grounds(grounds)
 
 
 def _mgs_by_sweep(pm: PoolMasks) -> tuple[tuple[Statement, ...], ...]:
@@ -312,21 +312,7 @@ def _mgs_by_sweep(pm: PoolMasks) -> tuple[tuple[Statement, ...], ...]:
             sizes = {frozenset(slice_): slice_}
         elif len(slice_) == best and best > 0:
             sizes.setdefault(frozenset(slice_), slice_)
-    return _canonical_grounds(list(sizes.values()))
-
-
-def _statement_key(s: Statement) -> tuple:
-    return (s.left.values, s.right.values, s.strict)
-
-
-def _canonical_grounds(
-    grounds: Sequence[Sequence[Statement]],
-) -> tuple[tuple[Statement, ...], ...]:
-    normal = sorted(
-        {tuple(sorted(g, key=_statement_key)) for g in grounds},
-        key=lambda g: tuple(_statement_key(s) for s in g),
-    )
-    return tuple(normal)
+    return canonical_grounds(list(sizes.values()))
 
 
 def brute_p5(

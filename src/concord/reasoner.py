@@ -11,10 +11,9 @@ pending statement lose, which bounds the depth by the number of statements.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .domain import (
     VariableSpace,
     dedupe_statements,
 )
-from .errors import CapacityError, DomainMismatchError, IndeterminateError
+from .errors import CapacityError, IndeterminateError
 from .models import HierarchicalModel, LexicographicModel, satisfies_set
 from .results import ConsistencyResult, SearchStats
 
@@ -45,32 +44,9 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
-def _binary_op(c: Combiner) -> Callable[[int, int], int]:
-    if c.kind == "sum":
-        return operator.add
-    if c.kind == "product":
-        return operator.mul
-    if c.kind == "min":
-        return min
-    if c.kind == "max":
-        return max
-    if c.kind == "and":
-        return operator.and_
-    if c.kind == "or":
-        return operator.or_
-    table = {(a, b): out for a, b, out in (c.table or ())}
-
-    def apply(x: int, y: int) -> int:
-        try:
-            return table[(x, y)]
-        except KeyError:
-            raise DomainMismatchError(f"no table entry for ({x},{y})") from None
-
-    return apply
-
-
-def _subset_folds(alt: Alternative, n: int, op: Callable[[int, int], int]) -> list[int]:
+def _subset_folds(alt: Alternative, n: int, c: Combiner) -> list[int]:
     """Fold values over every non-empty variable subset, indexed by bitmask."""
+    op = c.op
     vals: list[int] = [0] * (1 << n)
     for v in range(n):
         vals[1 << v] = alt.values[v]
@@ -94,14 +70,15 @@ def classify(
     least as high as its right side on every non-empty variable subset (strict:
     strictly higher everywhere); a contradiction is a statement whose
     complement is a tautology. The sum combiner admits a per-variable shortcut
-    because subset sums inherit the signs of the per-variable differences.
+    because subset sums inherit the signs of the per-variable differences: its
+    verdict is the lexicographic one.
     """
     if method not in ("auto", "generic", "fast"):
         raise ValueError(f"unknown classify method {method!r}")
     if method == "fast" or (method == "auto" and c.kind == "sum"):
         if c.kind != "sum":
             raise ValueError("the fast path only covers the sum combiner")
-        return _classify_sum(s)
+        return classify_lex(s, space, c)
     if space.size > limits.max_vars_classify:
         raise CapacityError(
             f"generic classification capped at {limits.max_vars_classify} variables"
@@ -109,24 +86,10 @@ def classify(
     return _classify_generic(s, space, c)
 
 
-def _classify_sum(s: Statement) -> Triviality:
-    has_neg = has_pos = has_zero = False
-    for a, b in zip(s.left.values, s.right.values):
-        d = a - b
-        if d < 0:
-            has_neg = True
-        elif d > 0:
-            has_pos = True
-        else:
-            has_zero = True
-    return _verdict_from_flags(s.strict, has_neg, has_pos, has_zero)
-
-
 def _classify_generic(s: Statement, space: VariableSpace, c: Combiner) -> Triviality:
-    op = _binary_op(c)
     n = space.size
-    left = _subset_folds(s.left, n, op)
-    right = _subset_folds(s.right, n, op)
+    left = _subset_folds(s.left, n, c)
+    right = _subset_folds(s.right, n, c)
     has_lt = has_gt = has_eq = False
     for mask in range(1, 1 << n):
         cv = c.compare_values(left[mask], right[mask])
@@ -157,9 +120,7 @@ def _verdict_from_flags(strict: bool, lt: bool, gt: bool, eq: bool) -> Trivialit
 
 def classify_lex(s: Statement, space: VariableSpace, c: Combiner) -> Triviality:
     """Triviality over lexicographic models; only per-variable signs matter."""
-    signs = [
-        c.compare_values(a, b) for a, b in zip(s.left.values, s.right.values)
-    ]
+    signs = c.signs(s)
     has_neg = any(x < 0 for x in signs)
     has_pos = any(x > 0 for x in signs)
     has_zero = any(x == 0 for x in signs)
@@ -170,16 +131,12 @@ def sign_matrix(
     statements: Sequence[Statement], c: Combiner
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-variable comparison signs (rows = statements) plus strictness flags."""
-    left = np.array([s.left.values for s in statements], dtype=np.int64)
-    right = np.array([s.right.values for s in statements], dtype=np.int64)
-    if c.kind == "table":
-        # Compare table values by their position in the declared universe.
-        uni = np.array(c.universe, dtype=np.int64)
-        perm = np.argsort(uni)
-        sorted_uni = uni[perm]
-        left = perm[np.searchsorted(sorted_uni, left)]
-        right = perm[np.searchsorted(sorted_uni, right)]
-    signs = np.sign(left - right).astype(np.int8)
+    if c.rank is None:
+        left = np.array([s.left.values for s in statements], dtype=np.int64)
+        right = np.array([s.right.values for s in statements], dtype=np.int64)
+        signs = np.sign(left - right).astype(np.int8)
+    else:
+        signs = np.array([c.signs(s) for s in statements], dtype=np.int8)
     strict = np.array([s.strict for s in statements], dtype=bool)
     return signs, strict
 
@@ -230,15 +187,27 @@ def _lex_greedy(
 
 def _lex_consistent_from_signs(
     signs: np.ndarray, strict: np.ndarray, nvars: int
-) -> bool:
-    """Bare consistency verdict for callers that already hold the signs."""
-    chosen, active, _, _ = _lex_greedy(signs, nvars)
+) -> tuple[tuple[int, ...] | None, int, int]:
+    """The lexicographic verdict over a sign matrix: the greedy plus its stall rule.
+
+    Returns the witness variables (``None`` when inconsistent) and the
+    greedy's node / candidate counters. When the greedy stalls with only
+    non-strict statements pending and nothing chosen yet, a single variable at
+    which nothing loses still witnesses consistency (models cannot be empty);
+    with something chosen, the pending statements tie on every chosen variable
+    and the prefix itself is a witness.
+    """
+    chosen, active, nodes, tried = _lex_greedy(signs, nvars)
     if bool(strict[active].any()):
-        return False
-    if chosen or not bool(active.any()):
-        return True
-    sub = signs[active]
-    return bool(np.flatnonzero(~(sub < 0).any(axis=0)).size)
+        return None, nodes, tried
+    if chosen:
+        return tuple(chosen), nodes, tried
+    if not bool(active.any()):
+        return (0,), nodes, tried
+    safe = np.flatnonzero(~(signs[active] < 0).any(axis=0))
+    if safe.size == 0:
+        return None, nodes, tried
+    return (int(safe[0]),), nodes, tried
 
 
 def is_consistent_lex(
@@ -247,35 +216,18 @@ def is_consistent_lex(
     c: Combiner,
     limits: Limits = DEFAULT_LIMITS,
 ) -> ConsistencyResult:
-    """Greedy lexicographic consistency with a constructed witness.
-
-    When the greedy stalls with only non-strict statements pending and nothing
-    chosen yet, a single variable at which nothing loses still witnesses
-    consistency (models cannot be empty); with something chosen, the pending
-    statements tie on every chosen variable and the prefix itself is a witness.
-    """
+    """Greedy lexicographic consistency with a constructed, re-checked witness."""
     stmts = dedupe_statements(statements)
-    nvars = space.size
     if not stmts:
         return ConsistencyResult(True, LexicographicModel((0,)))
     signs, strict = sign_matrix(stmts, c)
-    chosen, active, nodes, tried = _lex_greedy(signs, nvars)
+    variables, nodes, tried = _lex_consistent_from_signs(signs, strict, space.size)
     stats = SearchStats(nodes=nodes, levels_tried=tried)
-    if bool(strict[active].any()):
+    if variables is None:
         return ConsistencyResult(False, None, stats)
-    if chosen:
-        witness = LexicographicModel(tuple(chosen))
-    elif bool(active.any()):
-        sub = signs[active]
-        safe = np.flatnonzero(~(sub < 0).any(axis=0))
-        if safe.size == 0:
-            return ConsistencyResult(False, None, stats)
-        witness = LexicographicModel((int(safe[0]),))
-    else:
-        witness = LexicographicModel((0,))
-    if not _lex_witness_ok(signs, strict, witness.variables):
+    if not _lex_witness_ok(signs, strict, variables):
         raise RuntimeError("internal error: lex witness failed re-check")
-    return ConsistencyResult(True, witness, stats)
+    return ConsistencyResult(True, LexicographicModel(variables), stats)
 
 
 def _canonical_levels(n: int, max_level_size: int | None) -> list[int]:
@@ -305,12 +257,11 @@ def is_consistent_hier(
         )
     if not stmts:
         return ConsistencyResult(True, HierarchicalModel((frozenset((0,)),)))
-    op = _binary_op(c)
     folds: dict[Alternative, list[int]] = {}
     for s in stmts:
         for alt in (s.left, s.right):
             if alt not in folds:
-                folds[alt] = _subset_folds(alt, n, op)
+                folds[alt] = _subset_folds(alt, n, c)
     level_masks = _canonical_levels(n, max_level_size)
     cmp = np.empty((len(stmts), len(level_masks)), dtype=np.int8)
     for i, s in enumerate(stmts):

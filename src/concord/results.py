@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from .domain import Statement
 from .models import Model
@@ -87,3 +87,18 @@ class ExistenceResult:
 
     def __bool__(self) -> bool:
         return self.exists
+
+
+def _statement_key(s: Statement) -> tuple:
+    return (s.left.values, s.right.values, s.strict)
+
+
+def canonical_grounds(
+    grounds: Sequence[Sequence[Statement]],
+) -> tuple[tuple[Statement, ...], ...]:
+    """Deduplicated grounds, each sorted by statement and the whole sorted."""
+    normal = sorted(
+        {tuple(sorted(g, key=_statement_key)) for g in grounds},
+        key=lambda g: tuple(_statement_key(s) for s in g),
+    )
+    return tuple(normal)

@@ -106,6 +106,10 @@ class TestCombiner:
             c.fold((0, 5))
         with pytest.raises(DomainMismatchError):
             c.compare_values(0, 5)
+        with pytest.raises(DomainMismatchError):
+            c.op(0, 5)
+        with pytest.raises(DomainMismatchError):
+            c.signs(stmt((0,), (5,)))
 
     def test_tie_over_always_ties_multi(self):
         c = Combiner.tie_over((0, 1))

@@ -160,13 +160,22 @@ def test_exists_hier_nonuniqueness_fixture():
     assert res.exists and not res.via_union
     assert res.witness is not None
     # the two statements distinguished by the construction are both available
-    pool = _candidate_pool(
+    pool = tuple(_candidate_pool(
         profile, hier_candidates(profile.space, profile.combiner), DEFAULT_LIMITS
-    )
+    ))
     psi1 = Statement(alts["gamma"], alts["delta"], True)
     psi2 = Statement(alts["delta"], alts["gamma"], True)
     assert psi1 in pool and psi2 in pool
     assert res.witness in pool
+
+
+def test_exists_hier_stops_at_first_pool_member():
+    profile, _ = nonuniqueness_fixture()
+    res = exists_mg_hier(profile)
+    assert str(res.witness) == "(0,0,0,1) > (0,0,0,0)"
+    # 350 non-trivial candidates are listed, but the scan of the 109-member
+    # pool stops at its first member.
+    assert res.stats == {"candidates": 350, "pool": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +408,3 @@ def test_postulates_p5_oracle_fail_on_extendable_candidate():
     psi1 = Statement(alts["gamma"], alts["delta"], True)
     report = check_postulates((psi1,), profile, check_p5=True)
     assert report.p5.verdict == FAIL
-
-
-def test_postulates_p3_over_sets_variant_runs():
-    profile, alts = nonuniqueness_fixture()
-    psi1 = Statement(alts["gamma"], alts["delta"], True)
-    strict_report = check_postulates((psi1,), profile, p3_over_sets=True)
-    assert strict_report.p3.verdict in (PASS, FAIL)

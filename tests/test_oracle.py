@@ -1,9 +1,12 @@
 """Brute-force reference implementations."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import concord
 from concord.domain import Combiner, Statement, VariableSpace, complement
 from concord.errors import CapacityError
 from concord.models import HierarchicalModel, LexicographicModel, satisfies_set
@@ -252,3 +255,26 @@ def test_subset_sum_against_bitmask_reference():
             for mask in range(1 << k)
         )
         assert subset_sum_brute(values, target) == ref
+
+
+def test_no_production_module_uses_oracle_privates():
+    """The oracle is a test-facing reference; production code may use only its
+    public names."""
+    offenders = []
+    for path in sorted(Path(concord.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "oracle", "concord.oracle"
+            ):
+                names = [a.name for a in node.names if a.name.startswith("_")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "oracle"
+                and node.attr.startswith("_")
+            ):
+                names = [node.attr]
+            else:
+                continue
+            offenders.extend("%s: %s" % (path.name, name) for name in names)
+    assert offenders == []

@@ -1,5 +1,6 @@
 """Consistency, entailment and triviality engines against the brute oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from concord.domain import (
     Statement,
     Triviality,
     VariableSpace,
+    binarize,
     complement,
 )
 from concord.errors import CapacityError, IndeterminateError
@@ -188,6 +190,22 @@ def test_sign_matrix_table_ranks():
     signs, strict = sign_matrix((stmt((2,), (7,)), stmt((7,), (2,), strict=False)), c)
     assert signs.tolist() == [[1], [-1]]
     assert strict.tolist() == [True, False]
+
+
+def test_signs_binarize_and_sign_matrix_agree_on_unsorted_universe():
+    c = Combiner("table", table=((7, 7, 7), (7, 2, 7), (2, 7, 7), (2, 2, 2)),
+                 universe=(7, 2))
+    sides = list(itertools.product((7, 2), repeat=3))
+    statements = [stmt(a, b, strict=bool(i % 2))
+                  for i, (a, b) in enumerate(itertools.product(sides, sides))]
+    matrix, _ = sign_matrix(statements, c)
+    for s, row in zip(statements, matrix.tolist()):
+        signs = c.signs(s)
+        flat = binarize(s, c)
+        assert list(signs) == row
+        assert [x - y for x, y in zip(flat.left.values, flat.right.values)] == row
+    # 2 ranks above 7, so the all-2 side beats the all-7 side everywhere
+    assert c.signs(stmt((2, 2, 2), (7, 7, 7))) == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,54 @@
+"""The benchmark's tracer names functions of this package by string.
+
+``perfbench/tracing.py`` wraps each ``(module, function)`` of its ``TARGETS``
+table and reads counters off the wrapped calls' arguments and results. These
+tests keep those names and shapes in step with the code, so a rename fails
+here instead of crashing a traced benchmark run. The tracer file is read,
+never imported as a package module or modified.
+"""
+
+import importlib
+import inspect
+import types
+from pathlib import Path
+
+from concord.domain import Combiner, VariableSpace
+from concord.reasoner import _lex_greedy, is_consistent_hier, sign_matrix
+from conftest import stmt
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing() -> types.ModuleType:
+    mod = types.ModuleType("perfbench_tracing")
+    mod.__file__ = str(TRACING)
+    source = TRACING.read_text(encoding="utf-8")
+    exec(compile(source, str(TRACING), "exec"), mod.__dict__)
+    return mod
+
+
+def test_every_trace_target_resolves():
+    targets = _tracing().TARGETS
+    assert targets
+    missing = []
+    for modname, fname, _span, _counters in targets:
+        module = importlib.import_module("concord." + modname)
+        if not callable(getattr(module, fname, None)):
+            missing.append("concord.%s.%s" % (modname, fname))
+    assert missing == []
+
+
+def test_traced_return_shapes():
+    # sign_matrix -> (signs, strict); the tracer counts signs cells.
+    statements = (stmt((1, 0), (0, 1)), stmt((0, 0), (0, 1), strict=False))
+    signs, strict = sign_matrix(statements, Combiner("sum"))
+    assert signs.shape == (2, 2) and strict.tolist() == [True, False]
+    # _lex_greedy's item 2 is the node count: one variable chosen per node.
+    chosen, _active, nodes, _tried = _lex_greedy(signs, 2)
+    assert isinstance(nodes, int) and nodes == len(chosen)
+    # is_consistent_hier's fifth positional parameter is max_level_size.
+    params = list(inspect.signature(is_consistent_hier).parameters)
+    assert params[4] == "max_level_size"
+    space = VariableSpace.binary(("x", "y"))
+    res = is_consistent_hier(statements, space, Combiner("sum"))
+    assert isinstance(res.stats.nodes, int) and isinstance(res.stats.levels_tried, int)
