@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     TrivialStakeholderError,
 )
-from .reasoner import DEFAULT_LIMITS, Limits, entails, is_consistent
+from .reasoner import DEFAULT_LIMITS, Limits, classify, entails, is_consistent
 
 __all__ = ["main"]
 
@@ -189,9 +189,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     doc, profile = _load_profile(args)
     limits = _load_limits(args)
     s = _statement_arg(args, doc)
-    kind = midground.statement_triviality(
-        s, profile.space, profile.combiner, profile.model_class, limits
-    )
+    kind = classify(s, profile.space, profile.combiner, profile.model_class, limits)
     return _emit(args, [kind.value], _payload("classify", kind.value))
 
 

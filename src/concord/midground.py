@@ -36,7 +36,6 @@ from .reasoner import (
     Limits,
     _lex_consistent_from_signs,
     classify,
-    classify_lex,
     entails,
     equivalent,
     is_consistent,
@@ -54,16 +53,28 @@ from .results import (
 )
 
 
-def statement_triviality(
-    s: Statement,
-    space: VariableSpace,
-    c: Combiner,
-    model_class: str,
-    limits: Limits = DEFAULT_LIMITS,
-) -> Triviality:
-    if model_class == "lex":
-        return classify_lex(s, space, c)
-    return classify(s, space, c, limits)
+def _falsifiable(stmts: Sequence[Statement], profile: Profile, limits: Limits) -> bool:
+    """Some statement is not a tautology (P1, and the stakeholder precondition)."""
+    sp, c, mc = profile.space, profile.combiner, profile.model_class
+    return any(
+        classify(s, sp, c, mc, limits) is not Triviality.TAUTOLOGY for s in stmts
+    )
+
+
+def _compatible(
+    s: Statement, union: Sequence[Statement], profile: Profile, limits: Limits
+) -> bool:
+    """P3 for one statement: consistent with each union statement on its own."""
+    sp, c, mc = profile.space, profile.combiner, profile.model_class
+    return all(is_consistent((s, u), sp, c, mc, limits).consistent for u in union)
+
+
+def _entailed(s: Statement, profile: Profile, limits: Limits) -> bool:
+    """P4 for one statement: some stakeholder's set entails it."""
+    sp, c, mc = profile.space, profile.combiner, profile.model_class
+    return any(
+        entails(sh.statements, s, sp, c, mc, limits) for sh in profile.stakeholders
+    )
 
 
 def _require_nontrivial(profile: Profile, limits: Limits) -> None:
@@ -76,13 +87,7 @@ def _require_nontrivial(profile: Profile, limits: Limits) -> None:
         )
         if not res.consistent:
             raise TrivialStakeholderError(f"stakeholder {sh.name!r} is inconsistent")
-        if not any(
-            statement_triviality(
-                s, profile.space, profile.combiner, profile.model_class, limits
-            )
-            is not Triviality.TAUTOLOGY
-            for s in sh.statements
-        ):
+        if not _falsifiable(sh.statements, profile, limits):
             raise TrivialStakeholderError(
                 f"stakeholder {sh.name!r} asserts nothing falsifiable"
             )
@@ -159,7 +164,7 @@ def hier_candidates(
     """
     out = []
     for s in full_language(space, limits):
-        if classify(s, space, c, limits) is Triviality.NON_TRIVIAL:
+        if classify(s, space, c, "hier", limits) is Triviality.NON_TRIVIAL:
             out.append(s)
     return tuple(out)
 
@@ -172,16 +177,10 @@ def _candidate_pool(
     sp, c, mc = profile.space, profile.combiner, profile.model_class
     union = profile.union_statements()
     for s in dedupe_statements(language):
-        if statement_triviality(s, sp, c, mc, limits) is not Triviality.NON_TRIVIAL:
+        if classify(s, sp, c, mc, limits) is not Triviality.NON_TRIVIAL:
             continue
-        if any(not is_consistent((s, u), sp, c, mc, limits).consistent for u in union):
-            continue
-        if not any(
-            entails(sh.statements, s, sp, c, mc, limits)
-            for sh in profile.stakeholders
-        ):
-            continue
-        yield s
+        if _compatible(s, union, profile, limits) and _entailed(s, profile, limits):
+            yield s
 
 
 def exists_mg_lex(
@@ -440,10 +439,7 @@ def check_postulates(
     union = profile.union_statements()
 
     consistent = is_consistent(cand, sp, c, mc, limits).consistent
-    falsifiable = any(
-        statement_triviality(s, sp, c, mc, limits) is not Triviality.TAUTOLOGY
-        for s in cand
-    )
+    falsifiable = _falsifiable(cand, profile, limits)
     p1 = PostulateCheck(PASS if consistent and falsifiable else FAIL)
 
     union_consistent = is_consistent(union, sp, c, mc, limits).consistent
@@ -452,23 +448,10 @@ def check_postulates(
     else:
         p2 = PostulateCheck(PASS)
 
-    p3_bad = tuple(
-        s
-        for s in cand
-        if any(
-            not is_consistent((s, u), sp, c, mc, limits).consistent for u in union
-        )
-    )
+    p3_bad = tuple(s for s in cand if not _compatible(s, union, profile, limits))
     p3 = PostulateCheck(PASS if not p3_bad else FAIL, p3_bad)
 
-    p4_bad = tuple(
-        s
-        for s in cand
-        if not any(
-            entails(sh.statements, s, sp, c, mc, limits)
-            for sh in profile.stakeholders
-        )
-    )
+    p4_bad = tuple(s for s in cand if not _entailed(s, profile, limits))
     p4 = PostulateCheck(PASS if not p4_bad else FAIL, p4_bad)
 
     if not check_p5:

@@ -23,6 +23,7 @@ from .domain import (
     Statement,
     Triviality,
     VariableSpace,
+    complement,
     dedupe_statements,
 )
 from .errors import CapacityError, IndeterminateError
@@ -61,70 +62,47 @@ def classify(
     s: Statement,
     space: VariableSpace,
     c: Combiner,
+    model_class: str = "hier",
     limits: Limits = DEFAULT_LIMITS,
-    method: str = "auto",
 ) -> Triviality:
-    """Tautology / contradiction / non-trivial, over hierarchical models.
+    """Tautology / contradiction / non-trivial, over the given model class.
 
-    A non-strict statement is a tautology exactly when its left side folds at
-    least as high as its right side on every non-empty variable subset (strict:
-    strictly higher everywhere); a contradiction is a statement whose
-    complement is a tautology. The sum combiner admits a per-variable shortcut
-    because subset sums inherit the signs of the per-variable differences: its
-    verdict is the lexicographic one.
+    A statement is a tautology when it holds at every model and a
+    contradiction when it holds at none. Lexicographic models only see the
+    per-variable comparison signs. Hierarchical ones see the comparison of the
+    two sides' folds on every non-empty variable subset, except under the sum
+    combiner, where subset sums inherit the signs of the per-variable
+    differences and the lexicographic verdict applies.
     """
-    if method not in ("auto", "generic", "fast"):
-        raise ValueError(f"unknown classify method {method!r}")
-    if method == "fast" or (method == "auto" and c.kind == "sum"):
-        if c.kind != "sum":
-            raise ValueError("the fast path only covers the sum combiner")
+    if model_class == "lex" or c.kind == "sum":
         return classify_lex(s, space, c)
     if space.size > limits.max_vars_classify:
         raise CapacityError(
             f"generic classification capped at {limits.max_vars_classify} variables"
         )
-    return _classify_generic(s, space, c)
+    return _classify_hier(s, space, c)
 
 
-def _classify_generic(s: Statement, space: VariableSpace, c: Combiner) -> Triviality:
+def _classify_hier(s: Statement, space: VariableSpace, c: Combiner) -> Triviality:
+    """Triviality over hierarchical models, read off the statement's table row."""
     n = space.size
-    left = _subset_folds(s.left, n, c)
-    right = _subset_folds(s.right, n, c)
-    has_lt = has_gt = has_eq = False
-    for mask in range(1, 1 << n):
-        cv = c.compare_values(left[mask], right[mask])
-        if cv < 0:
-            has_lt = True
-        elif cv > 0:
-            has_gt = True
-        else:
-            has_eq = True
-        if has_lt and has_gt:
-            break
-    return _verdict_from_flags(s.strict, has_lt, has_gt, has_eq)
-
-
-def _verdict_from_flags(strict: bool, lt: bool, gt: bool, eq: bool) -> Triviality:
-    if strict:
-        if not lt and not eq:
-            return Triviality.TAUTOLOGY
-        if not gt:
-            return Triviality.CONTRADICTION
-    else:
-        if not lt:
-            return Triviality.TAUTOLOGY
-        if not gt and not eq:
-            return Triviality.CONTRADICTION
-    return Triviality.NON_TRIVIAL
+    return _triviality(_level_table((s,), n, c, range(1, 1 << n))[0], s.strict)
 
 
 def classify_lex(s: Statement, space: VariableSpace, c: Combiner) -> Triviality:
     """Triviality over lexicographic models; only per-variable signs matter."""
-    signs = c.signs(s)
-    has_neg = any(x < 0 for x in signs)
-    has_pos = any(x > 0 for x in signs)
-    has_zero = any(x == 0 for x in signs)
-    return _verdict_from_flags(s.strict, has_neg, has_pos, has_zero)
+    return _triviality(c.signs(s), s.strict)
+
+
+def _triviality(signs: Sequence[int], strict: bool) -> Triviality:
+    """Verdict from a statement's signs across the models: a strict statement
+    holds where its sign is positive, a weak one where it is not negative."""
+    need = 1 if strict else 0
+    if min(signs) >= need:
+        return Triviality.TAUTOLOGY
+    if max(signs) < need:
+        return Triviality.CONTRADICTION
+    return Triviality.NON_TRIVIAL
 
 
 def sign_matrix(
@@ -230,16 +208,33 @@ def is_consistent_lex(
     return ConsistencyResult(True, LexicographicModel(variables), stats)
 
 
-def _canonical_levels(n: int, max_level_size: int | None) -> list[int]:
+def _canonical_levels(n: int) -> list[int]:
     """Level bitmasks ordered by cardinality, then by sorted variable indices."""
-    cap = n if max_level_size is None else min(n, max_level_size)
-    levels: list[tuple[tuple[int, ...], int]] = []
-    for mask in range(1, 1 << n):
-        idx = tuple(v for v in range(n) if mask >> v & 1)
-        if len(idx) <= cap:
-            levels.append((idx, mask))
+    levels = [
+        (tuple(v for v in range(n) if mask >> v & 1), mask)
+        for mask in range(1, 1 << n)
+    ]
     levels.sort(key=lambda pair: (len(pair[0]), pair[0]))
     return [mask for _, mask in levels]
+
+
+def _level_table(
+    stmts: Sequence[Statement], n: int, c: Combiner, level_masks: Sequence[int]
+) -> list[list[int]]:
+    """Statement x level comparison signs; each distinct alternative folds once.
+
+    Rows stay plain lists: element reads on numpy rows are several times slower."""
+    folds: dict[Alternative, list[int]] = {}
+    for s in stmts:
+        for alt in (s.left, s.right):
+            if alt not in folds:
+                folds[alt] = _subset_folds(alt, n, c)
+    compare = c.compare_values
+    table = []
+    for s in stmts:
+        lf, rf = folds[s.left], folds[s.right]
+        table.append([compare(lf[m], rf[m]) for m in level_masks])
+    return table
 
 
 def is_consistent_hier(
@@ -247,8 +242,18 @@ def is_consistent_hier(
     space: VariableSpace,
     c: Combiner,
     limits: Limits = DEFAULT_LIMITS,
-    max_level_size: int | None = None,
 ) -> ConsistencyResult:
+    """Hierarchical consistency with a constructed, re-checked witness.
+
+    The search runs over sequences of distinct levels taken from the
+    canonical order (by cardinality, then by sorted variable indices). Each
+    chosen level must decide some pending statement and let none lose; the
+    statements it ties stay pending. With no strict statement pending, the
+    path found so far is the witness; with none chosen yet, the first
+    canonical level at which nothing loses is. The witness is re-checked
+    against every statement before it is returned. ``limits.timeout_ms``
+    bounds this one call, not the request that makes it.
+    """
     stmts = dedupe_statements(statements)
     n = space.size
     if n > limits.max_vars_hier:
@@ -257,42 +262,13 @@ def is_consistent_hier(
         )
     if not stmts:
         return ConsistencyResult(True, HierarchicalModel((frozenset((0,)),)))
-    folds: dict[Alternative, list[int]] = {}
-    for s in stmts:
-        for alt in (s.left, s.right):
-            if alt not in folds:
-                folds[alt] = _subset_folds(alt, n, c)
-    level_masks = _canonical_levels(n, max_level_size)
-    cmp = np.empty((len(stmts), len(level_masks)), dtype=np.int8)
-    for i, s in enumerate(stmts):
-        lf = folds[s.left]
-        rf = folds[s.right]
-        row = cmp[i]
-        for j, mask in enumerate(level_masks):
-            row[j] = c.compare_values(lf[mask], rf[mask])
+    level_masks = _canonical_levels(n)
+    cmp = np.array(_level_table(stmts, n, c, level_masks), dtype=np.int8)
     strict = np.array([s.strict for s in stmts], dtype=bool)
     deadline = None
     if limits.timeout_ms is not None:
         deadline = time.monotonic() + limits.timeout_ms / 1000.0
-
-    def to_level(mask: int) -> frozenset[int]:
-        return frozenset(v for v in range(n) if mask >> v & 1)
-
     stats = {"nodes": 0, "tried": 0}
-
-    if not strict.any():
-        # Only non-strict statements: one level at which nothing loses settles
-        # it (later levels could not overturn anything anyway).
-        for j, mask in enumerate(level_masks):
-            stats["tried"] += 1
-            if not (cmp[:, j] < 0).any():
-                witness = HierarchicalModel((to_level(mask),))
-                _check_hier_witness(witness, stmts, c)
-                return ConsistencyResult(
-                    True, witness, SearchStats(0, stats["tried"])
-                )
-        return ConsistencyResult(False, None, SearchStats(0, stats["tried"]))
-
     failed: set[frozenset[int]] = set()
 
     def search(undecided: frozenset[int]) -> list[int] | None:
@@ -317,10 +293,19 @@ def is_consistent_hier(
         return None
 
     path = search(frozenset(range(len(stmts))))
+    if path == []:
+        # Only weak statements: a model needs one level, and any level at
+        # which nothing loses will do.
+        safe = np.flatnonzero(~(cmp < 0).any(axis=0))
+        path = [int(safe[0])] if safe.size else None
     stats_out = SearchStats(stats["nodes"], stats["tried"])
     if path is None:
         return ConsistencyResult(False, None, stats_out)
-    witness = HierarchicalModel(tuple(to_level(level_masks[j]) for j in path))
+    witness = HierarchicalModel(
+        tuple(
+            frozenset(v for v in range(n) if level_masks[j] >> v & 1) for j in path
+        )
+    )
     _check_hier_witness(witness, stmts, c)
     return ConsistencyResult(True, witness, stats_out)
 
@@ -352,8 +337,6 @@ def entails(
     model_class: str,
     limits: Limits = DEFAULT_LIMITS,
 ) -> bool:
-    from .domain import complement
-
     combined = tuple(premises) + (complement(s),)
     return not is_consistent(combined, space, c, model_class, limits).consistent
 

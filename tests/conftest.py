@@ -12,8 +12,7 @@ from concord.domain import (
     Statement,
     VariableSpace,
 )
-from concord.midground import statement_triviality
-from concord.reasoner import DEFAULT_LIMITS, is_consistent
+from concord.reasoner import DEFAULT_LIMITS, classify, is_consistent
 from concord.domain import Triviality
 
 settings.register_profile(
@@ -59,8 +58,7 @@ def _usable(statements, space, c, model_class) -> bool:
     if not is_consistent(statements, space, c, model_class, DEFAULT_LIMITS).consistent:
         return False
     return any(
-        statement_triviality(s, space, c, model_class, DEFAULT_LIMITS)
-        is not Triviality.TAUTOLOGY
+        classify(s, space, c, model_class, DEFAULT_LIMITS) is not Triviality.TAUTOLOGY
         for s in statements
     )
 

@@ -23,10 +23,9 @@ from concord.midground import (
     full_language,
     hier_candidates,
     lex_candidates,
-    statement_triviality,
 )
 from concord.oracle import brute_mgs
-from concord.reasoner import DEFAULT_LIMITS, Limits, is_consistent
+from concord.reasoner import DEFAULT_LIMITS, Limits, classify, is_consistent
 from concord.results import FAIL, NOT_CHECKED, PASS
 from concord.gadgets import nonexistence_fixture, nonuniqueness_fixture
 from conftest import random_profile, stmt
@@ -80,7 +79,7 @@ def test_lex_candidates_example_and_count():
 def test_lex_candidates_all_nontrivial():
     for sp in (SP2, SP3, VariableSpace.binary(("a", "b", "c", "d"))):
         for s in lex_candidates(sp):
-            assert statement_triviality(s, sp, SUM, "lex") is Triviality.NON_TRIVIAL
+            assert classify(s, sp, SUM, "lex") is Triviality.NON_TRIVIAL
 
 
 def test_hier_candidates_are_exactly_the_nontrivial_statements():
@@ -88,11 +87,11 @@ def test_hier_candidates_are_exactly_the_nontrivial_statements():
     cands = hier_candidates(SP2, c)
     assert len(cands) == 12
     for s in cands:
-        assert statement_triviality(s, SP2, c, "hier") is Triviality.NON_TRIVIAL
+        assert classify(s, SP2, c, "hier") is Triviality.NON_TRIVIAL
     full = full_language(SP2)
     nontrivial = [
         s for s in full
-        if statement_triviality(s, SP2, c, "hier") is Triviality.NON_TRIVIAL
+        if classify(s, SP2, c, "hier") is Triviality.NON_TRIVIAL
     ]
     assert set(cands) == set(nontrivial)
 
@@ -257,9 +256,43 @@ def test_pool_strict_implies_weak_closure():
             if not s.strict:
                 continue
             weak = Statement(s.left, s.right, False)
-            if statement_triviality(weak, sp, SUM, "hier") is Triviality.NON_TRIVIAL:
+            if classify(weak, sp, SUM, "hier") is Triviality.NON_TRIVIAL:
                 assert weak in pool, (profile, s)
         done += 1
+
+
+def test_pool_filters_agree_with_postulate_audit():
+    """The pool is exactly the non-trivial statements passing P3 and P4."""
+    rng = random.Random(17)
+    settings = [
+        ("hier", SUM),
+        ("hier", Combiner("max")),
+        ("hier", Combiner.tie_over((0, 1))),
+        ("lex", SUM),
+    ]
+    lang = full_language(SP2)
+    done = 0
+    for _ in range(400):
+        if done == 40:
+            break
+        mc, c = settings[done % len(settings)]
+        try:
+            profile = random_profile(rng, SP2, c, mc, 2, 2)
+        except RuntimeError:
+            continue
+        if is_consistent(profile.union_statements(), SP2, c, mc).consistent:
+            continue
+        pool = set(_candidate_pool(profile, lang, DEFAULT_LIMITS))
+        audited = set()
+        for s in lang:
+            if classify(s, SP2, c, mc) is not Triviality.NON_TRIVIAL:
+                continue
+            report = check_postulates((s,), profile)
+            if report.p3.ok and report.p4.ok:
+                audited.add(s)
+        assert pool == audited, (profile, pool ^ audited)
+        done += 1
+    assert done == 40
 
 
 # ---------------------------------------------------------------------------

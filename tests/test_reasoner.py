@@ -21,10 +21,12 @@ from concord.models import (
     LexicographicModel,
     satisfies_set,
 )
-from concord.oracle import brute_consistent, enumerate_lex_models
+from concord.midground import full_language
+from concord.oracle import brute_consistent, brute_tautology, enumerate_lex_models
 from concord.reasoner import (
     DEFAULT_LIMITS,
     Limits,
+    _classify_hier,
     classify,
     classify_lex,
     entails,
@@ -62,18 +64,14 @@ def test_classify_self_comparison():
     assert classify(stmt(a, a, strict=True), SP2, SUM) is Triviality.CONTRADICTION
 
 
-def test_classify_fast_requires_sum():
-    with pytest.raises(ValueError):
-        classify(stmt((1, 0), (0, 1)), SP2, AND, method="fast")
-    with pytest.raises(ValueError):
-        classify(stmt((1, 0), (0, 1)), SP2, SUM, method="bogus")
-
-
 def test_classify_generic_capacity():
     sp = VariableSpace.binary(tuple("v%d" % i for i in range(25)))
     s = Statement(alt(*([1] * 25)), alt(*([0] * 25)), True)
     with pytest.raises(CapacityError):
-        classify(s, sp, SUM, method="generic")
+        classify(s, sp, Combiner("max"))
+    # the sum combiner and lexicographic models only read per-variable signs
+    assert classify(s, sp, SUM) is Triviality.TAUTOLOGY
+    assert classify(s, sp, Combiner("max"), "lex") is Triviality.TAUTOLOGY
 
 
 @given(st.data())
@@ -88,9 +86,7 @@ def test_classify_fast_equals_generic_on_sum(data):
     right = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
     strict = data.draw(st.booleans())
     s = stmt(left, right, strict)
-    assert classify(s, sp, SUM, method="fast") is classify(
-        s, sp, SUM, method="generic"
-    )
+    assert classify(s, sp, SUM) is _classify_hier(s, sp, SUM)
 
 
 @given(st.data())
@@ -123,6 +119,29 @@ def test_classify_lex_only_signs_matter():
     assert classify_lex(stmt((5, 0), (0, 3)), sp, SUM) is Triviality.NON_TRIVIAL
     # a non-strict statement is a tautology as soon as no variable loses
     assert classify_lex(stmt((5, 0), (1, 0), strict=False), sp, SUM) is Triviality.TAUTOLOGY
+
+
+def test_classify_matches_oracle():
+    """Tautology and contradiction verdicts agree with model enumeration."""
+    spaces = [VariableSpace.binary(tuple("v%d" % i for i in range(n))) for n in (1, 2, 3)]
+    spaces.append(VariableSpace(("x", "y"), ((0, 1, 2),) * 2))
+    checked = 0
+    for sp in spaces:
+        values = sorted({v for dom in sp.domains for v in dom})
+        combiners = [SUM, Combiner("product"), Combiner("min"), Combiner("max"),
+                     Combiner.tie_over(values)]
+        if values == [0, 1]:
+            combiners += [AND, Combiner("or")]
+        for c in combiners:
+            for model_class in ("hier", "lex"):
+                for s in full_language(sp):
+                    kind = classify(s, sp, c, model_class)
+                    taut = brute_tautology(s, sp, c, model_class)
+                    contra = brute_tautology(complement(s), sp, c, model_class)
+                    assert (kind is Triviality.TAUTOLOGY) == taut, (s, c, model_class)
+                    assert (kind is Triviality.CONTRADICTION) == contra, (s, c, model_class)
+                    checked += 1
+    assert checked == 3972
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +286,6 @@ def test_hier_random_against_oracle():
             assert satisfies_set(res.witness, statements, c)
         agreements += 1
     assert agreements == 300
-
-
-def test_lex_equals_singleton_level_hier():
-    """Lex models are exactly the hierarchical models with singleton levels."""
-    rng = random.Random(99)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        sp = VariableSpace.binary(tuple("v%d" % i for i in range(n)))
-        k = rng.randint(1, 5)
-        statements = tuple(random_statement(rng, sp) for _ in range(k))
-        lex = is_consistent_lex(statements, sp, SUM)
-        hier = is_consistent_hier(statements, sp, SUM, max_level_size=1)
-        assert lex.consistent == hier.consistent
 
 
 # ---------------------------------------------------------------------------

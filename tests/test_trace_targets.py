@@ -8,12 +8,17 @@ never imported as a package module or modified.
 """
 
 import importlib
-import inspect
 import types
 from pathlib import Path
 
-from concord.domain import Combiner, VariableSpace
-from concord.reasoner import _lex_greedy, is_consistent_hier, sign_matrix
+from concord.domain import Combiner, VariableSpace, dedupe_statements
+from concord.reasoner import (
+    _canonical_levels,
+    _lex_greedy,
+    _level_table,
+    is_consistent_hier,
+    sign_matrix,
+)
 from conftest import stmt
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -46,9 +51,23 @@ def test_traced_return_shapes():
     # _lex_greedy's item 2 is the node count: one variable chosen per node.
     chosen, _active, nodes, _tried = _lex_greedy(signs, 2)
     assert isinstance(nodes, int) and nodes == len(chosen)
-    # is_consistent_hier's fifth positional parameter is max_level_size.
-    params = list(inspect.signature(is_consistent_hier).parameters)
-    assert params[4] == "max_level_size"
     space = VariableSpace.binary(("x", "y"))
     res = is_consistent_hier(statements, space, Combiner("sum"))
     assert isinstance(res.stats.nodes, int) and isinstance(res.stats.levels_tried, int)
+
+
+def test_traced_hier_cells_match_the_built_table():
+    # The tracer counts the statements x canonical levels table of each
+    # is_consistent_hier call; a repeated statement is compared once.
+    space = VariableSpace(("x", "y", "z"), ((0, 1, 2),) * 3)
+    c = Combiner("max")
+    statements = (
+        stmt((2, 0, 1), (0, 1, 1)),
+        stmt((0, 0, 2), (1, 1, 0), strict=False),
+        stmt((2, 0, 1), (0, 1, 1)),
+    )
+    args = (statements, space, c)
+    res = is_consistent_hier(*args)
+    table = _level_table(dedupe_statements(statements), 3, c, _canonical_levels(3))
+    cells = _tracing()._hier_cells(args, {}, res)
+    assert cells == len(table) * len(table[0]) == 2 * 7
