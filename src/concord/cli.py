@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Sequence
@@ -28,7 +29,14 @@ from .errors import (
     ParseError,
     TrivialStakeholderError,
 )
-from .reasoner import DEFAULT_LIMITS, Limits, classify, entails, is_consistent
+from .reasoner import (
+    DEFAULT_LIMITS,
+    Limits,
+    Reasoner,
+    classify,
+    entails,
+    is_consistent,
+)
 
 __all__ = ["main"]
 
@@ -267,7 +275,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         holds = oracle.brute_entails(profile.union_statements(), s, sp, c, mc)
         verdict = "entailed" if holds else "not-entailed"
         return _emit(args, [verdict], _payload("oracle-entails", verdict))
-    language, exhaustive = midground._resolve_language(profile, args.language, limits)
+    language, exhaustive = midground._resolve_language(
+        profile, args.language, Reasoner(sp, c, mc, limits)
+    )
     res = oracle.brute_mgs(profile, language)
     stats = dict(res.stats, exhaustive=exhaustive)
     return _emit_grounds(args, "oracle-mgs", res.grounds, stats)
@@ -287,7 +297,11 @@ def _add_common(sub: argparse.ArgumentParser, with_file: bool = True) -> None:
     sub.add_argument("--timeout-ms", type=int, dest="timeout_ms", metavar="MS")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    parsing leaves no state in it, and building it costs as much as a small
+    request."""
     parser = argparse.ArgumentParser(
         prog="concord",
         description="Reason about multi-stakeholder comparative preferences.",

@@ -11,6 +11,10 @@ language that individually pass the non-triviality, compatibility and
 entailment filters, then return all cardinality-maximal consistent subsets of
 that pool. Equivalent statements are grouped first so the search runs over
 equivalence classes; a maximal subset always takes whole classes.
+
+Each entry point asks all its questions of one ``Reasoner``, made for the
+call, so every statement's hierarchical level row is compiled once per
+request and dies with it.
 """
 
 from __future__ import annotations
@@ -34,11 +38,8 @@ from .oracle import brute_p5
 from .reasoner import (
     DEFAULT_LIMITS,
     Limits,
+    Reasoner,
     _lex_consistent_from_signs,
-    classify,
-    entails,
-    equivalent,
-    is_consistent,
     sign_matrix,
 )
 from .results import (
@@ -53,41 +54,29 @@ from .results import (
 )
 
 
-def _falsifiable(stmts: Sequence[Statement], profile: Profile, limits: Limits) -> bool:
+def _falsifiable(stmts: Sequence[Statement], r: Reasoner) -> bool:
     """Some statement is not a tautology (P1, and the stakeholder precondition)."""
-    sp, c, mc = profile.space, profile.combiner, profile.model_class
-    return any(
-        classify(s, sp, c, mc, limits) is not Triviality.TAUTOLOGY for s in stmts
-    )
+    return any(r.classify(s) is not Triviality.TAUTOLOGY for s in stmts)
 
 
-def _compatible(
-    s: Statement, union: Sequence[Statement], profile: Profile, limits: Limits
-) -> bool:
+def _compatible(s: Statement, union: Sequence[Statement], r: Reasoner) -> bool:
     """P3 for one statement: consistent with each union statement on its own."""
-    sp, c, mc = profile.space, profile.combiner, profile.model_class
-    return all(is_consistent((s, u), sp, c, mc, limits).consistent for u in union)
+    return all(r.is_consistent((s, u)).consistent for u in union)
 
 
-def _entailed(s: Statement, profile: Profile, limits: Limits) -> bool:
+def _entailed(s: Statement, profile: Profile, r: Reasoner) -> bool:
     """P4 for one statement: some stakeholder's set entails it."""
-    sp, c, mc = profile.space, profile.combiner, profile.model_class
-    return any(
-        entails(sh.statements, s, sp, c, mc, limits) for sh in profile.stakeholders
-    )
+    return any(r.entails(sh.statements, s) for sh in profile.stakeholders)
 
 
-def _require_nontrivial(profile: Profile, limits: Limits) -> None:
+def _require_nontrivial(profile: Profile, r: Reasoner) -> None:
     """Every stakeholder set must be consistent and falsifiable."""
     if not profile.stakeholders:
         raise TrivialStakeholderError("profile has no stakeholders")
     for sh in profile.stakeholders:
-        res = is_consistent(
-            sh.statements, profile.space, profile.combiner, profile.model_class, limits
-        )
-        if not res.consistent:
+        if not r.is_consistent(sh.statements).consistent:
             raise TrivialStakeholderError(f"stakeholder {sh.name!r} is inconsistent")
-        if not _falsifiable(sh.statements, profile, limits):
+        if not _falsifiable(sh.statements, r):
             raise TrivialStakeholderError(
                 f"stakeholder {sh.name!r} asserts nothing falsifiable"
             )
@@ -162,24 +151,28 @@ def hier_candidates(
     consistency outright. So existence and construction may restrict their
     scans to this set without losing anything up to logical equivalence.
     """
-    out = []
-    for s in full_language(space, limits):
-        if classify(s, space, c, "hier", limits) is Triviality.NON_TRIVIAL:
-            out.append(s)
-    return tuple(out)
+    return _hier_candidates(Reasoner(space, c, "hier", limits))
+
+
+def _hier_candidates(r: Reasoner) -> tuple[Statement, ...]:
+    """``hier_candidates`` for the reasoner's space and combiner."""
+    return tuple(
+        s
+        for s in full_language(r.space, r.limits)
+        if r.classify(s) is Triviality.NON_TRIVIAL
+    )
 
 
 def _candidate_pool(
-    profile: Profile, language: Sequence[Statement], limits: Limits
+    profile: Profile, language: Sequence[Statement], r: Reasoner
 ) -> Iterator[Statement]:
     """Language statements passing the three per-statement filters, lazily
     and in language order."""
-    sp, c, mc = profile.space, profile.combiner, profile.model_class
     union = profile.union_statements()
     for s in dedupe_statements(language):
-        if classify(s, sp, c, mc, limits) is not Triviality.NON_TRIVIAL:
+        if r.classify(s) is not Triviality.NON_TRIVIAL:
             continue
-        if _compatible(s, union, profile, limits) and _entailed(s, profile, limits):
+        if _compatible(s, union, r) and _entailed(s, profile, r):
             yield s
 
 
@@ -281,19 +274,18 @@ def exists_mg_hier(
     """
     if profile.model_class != "hier":
         raise DomainMismatchError("exists_mg_hier needs a hierarchical profile")
-    _require_nontrivial(profile, limits)
-    sp, c = profile.space, profile.combiner
-    union = profile.union_statements()
-    if is_consistent(union, sp, c, "hier", limits).consistent:
+    r = Reasoner(profile.space, profile.combiner, profile.model_class, limits)
+    _require_nontrivial(profile, r)
+    if r.is_consistent(profile.union_statements()).consistent:
         return ExistenceResult(True, via_union=True)
-    cands = hier_candidates(sp, c, limits)
-    witness = next(_candidate_pool(profile, cands, limits), None)
+    cands = _hier_candidates(r)
+    witness = next(_candidate_pool(profile, cands, r), None)
     stats = {"candidates": len(cands), "pool": int(witness is not None)}
     return ExistenceResult(witness is not None, witness=witness, stats=stats)
 
 
 def _resolve_language(
-    profile: Profile, language, limits: Limits
+    profile: Profile, language, r: Reasoner
 ) -> tuple[tuple[Statement, ...], bool]:
     """Materialize the language argument; returns (statements, exhaustive)."""
     lex = profile.model_class == "lex"
@@ -301,41 +293,30 @@ def _resolve_language(
         language = "binary" if lex else "full"
     if isinstance(language, str):
         if language == "full":
-            return full_language(profile.space, limits), True
+            return full_language(profile.space, r.limits), True
         if language == "binary":
             return binary_language(profile.space), lex
         if language == "candidates":
             if lex:
                 return lex_candidates(profile.space), False
-            return hier_candidates(profile.space, profile.combiner, limits), True
+            return _hier_candidates(r), True
         raise ValueError(f"unknown language selector {language!r}")
     lang = dedupe_statements(language)
-    if len(lang) > limits.max_language:
-        raise CapacityError(
-            f"language has {len(lang)} statements, cap is {limits.max_language}"
-        )
+    cap = r.limits.max_language
+    if len(lang) > cap:
+        raise CapacityError(f"language has {len(lang)} statements, cap is {cap}")
     return lang, False
 
 
 def _group_equivalent(
-    pool: Sequence[Statement], profile: Profile, limits: Limits
+    pool: Sequence[Statement], r: Reasoner
 ) -> list[list[Statement]]:
-    """Partition the pool into logical-equivalence classes."""
-    sp, c, mc = profile.space, profile.combiner, profile.model_class
-    if mc == "lex":
-        keyed: dict[tuple, list[Statement]] = {}
-        for s in pool:
-            keyed.setdefault((c.signs(s), s.strict), []).append(s)
-        return list(keyed.values())
-    classes: list[list[Statement]] = []
+    """Partition the non-trivial pool into logical-equivalence classes, in
+    order of first member (``Reasoner.equivalence_key``)."""
+    keyed: dict[tuple, list[Statement]] = {}
     for s in pool:
-        for cls in classes:
-            if equivalent((s,), (cls[0],), sp, c, mc, limits):
-                cls.append(s)
-                break
-        else:
-            classes.append([s])
-    return classes
+        keyed.setdefault(r.equivalence_key(s), []).append(s)
+    return list(keyed.values())
 
 
 def construct_mgs(
@@ -358,17 +339,17 @@ def construct_mgs(
     filtered pool; distinct ones are never equivalent, so no further
     deduplication happens beyond dropping identical subsets.
     """
-    _require_nontrivial(profile, limits)
-    sp, c, mc = profile.space, profile.combiner, profile.model_class
+    r = Reasoner(profile.space, profile.combiner, profile.model_class, limits)
+    _require_nontrivial(profile, r)
     union = profile.union_statements()
-    if is_consistent(union, sp, c, mc, limits).consistent:
+    if r.is_consistent(union).consistent:
         return MiddleGroundSet(
             grounds=canonical_grounds((union,)),
             exhaustive=True,
             stats={"via_union": True},
         )
-    lang, exhaustive = _resolve_language(profile, language, limits)
-    pool = tuple(_candidate_pool(profile, lang, limits))
+    lang, exhaustive = _resolve_language(profile, language, r)
+    pool = tuple(_candidate_pool(profile, lang, r))
     stats: dict = {
         "language": len(lang),
         "pool": len(pool),
@@ -378,7 +359,7 @@ def construct_mgs(
         stats["classes"] = 0
         stats["nodes"] = 0
         return MiddleGroundSet(grounds=(), exhaustive=exhaustive, stats=stats)
-    classes = _group_equivalent(pool, profile, limits)
+    classes = _group_equivalent(pool, r)
     order = sorted(
         range(len(classes)), key=lambda i: (-len(classes[i]), i)
     )
@@ -404,7 +385,7 @@ def construct_mgs(
         if weight + suffix[i] < best:
             return
         trial = reps + (ordered[i][0],)
-        if is_consistent(trial, sp, c, mc, limits).consistent:
+        if r.is_consistent(trial).consistent:
             descend(i + 1, picked + (i,), trial, weight + weights[i])
         descend(i + 1, picked, reps, weight)
 
@@ -433,25 +414,25 @@ def check_postulates(
     the union, otherwise it runs the oracle scan over the default language and
     reports not-checked when that scan is out of capacity.
     """
-    _require_nontrivial(profile, limits)
-    sp, c, mc = profile.space, profile.combiner, profile.model_class
+    r = Reasoner(profile.space, profile.combiner, profile.model_class, limits)
+    _require_nontrivial(profile, r)
     cand = dedupe_statements(candidate)
     union = profile.union_statements()
 
-    consistent = is_consistent(cand, sp, c, mc, limits).consistent
-    falsifiable = _falsifiable(cand, profile, limits)
+    consistent = r.is_consistent(cand).consistent
+    falsifiable = _falsifiable(cand, r)
     p1 = PostulateCheck(PASS if consistent and falsifiable else FAIL)
 
-    union_consistent = is_consistent(union, sp, c, mc, limits).consistent
+    union_consistent = r.is_consistent(union).consistent
     if union_consistent:
-        p2 = PostulateCheck(PASS if equivalent(cand, union, sp, c, mc, limits) else FAIL)
+        p2 = PostulateCheck(PASS if r.equivalent(cand, union) else FAIL)
     else:
         p2 = PostulateCheck(PASS)
 
-    p3_bad = tuple(s for s in cand if not _compatible(s, union, profile, limits))
+    p3_bad = tuple(s for s in cand if not _compatible(s, union, r))
     p3 = PostulateCheck(PASS if not p3_bad else FAIL, p3_bad)
 
-    p4_bad = tuple(s for s in cand if not _entailed(s, profile, limits))
+    p4_bad = tuple(s for s in cand if not _entailed(s, profile, r))
     p4 = PostulateCheck(PASS if not p4_bad else FAIL, p4_bad)
 
     if not check_p5:
@@ -459,16 +440,16 @@ def check_postulates(
     elif union_consistent:
         # Any competing set must be equivalent to the union, so maximality
         # fails exactly when the union says strictly more than the candidate.
-        union_stronger = all(
-            entails(union, s, sp, c, mc, limits) for s in cand
-        ) and not all(entails(cand, u, sp, c, mc, limits) for u in union)
+        union_stronger = all(r.entails(union, s) for s in cand) and not all(
+            r.entails(cand, u) for u in union
+        )
         p5 = PostulateCheck(FAIL if union_stronger else PASS)
     else:
         try:
-            if mc == "lex":
-                lang = binary_language(sp)
+            if profile.model_class == "lex":
+                lang = binary_language(profile.space)
             else:
-                lang = hier_candidates(sp, c, limits)
+                lang = _hier_candidates(r)
             ok = brute_p5(cand, profile, lang, limits.oracle_budget)
             p5 = PostulateCheck(PASS if ok else FAIL)
         except CapacityError:

@@ -44,7 +44,7 @@ from concord.midground import (
 from concord.models import HierarchicalModel, level_value, satisfies, satisfies_set
 from concord.oracle import brute_mgs, enumerate_lex_models, subset_sum_brute
 from concord.reasoner import (
-    _classify_hier,
+    Reasoner,
     classify,
     entails,
     is_consistent,
@@ -391,7 +391,7 @@ def test_c09_triviality_shortcut_and_duality():
             Alternative(tuple(rng.randint(0, 9) for _ in range(nv))),
             rng.random() < 0.5,
         )
-        if _classify_hier(s, space, SUM) is not classify(s, space, SUM):
+        if Reasoner(space, SUM)._classify_row(s) is not classify(s, space, SUM):
             bad += 1
     duality_checks = 0
     duality_bad = 0
@@ -410,8 +410,8 @@ def test_c09_triviality_shortcut_and_duality():
                     for right in alternatives:
                         for strict in (True, False):
                             s = Statement(left, right, strict)
-                            kind = _classify_hier(s, space, c)
-                            dual = _classify_hier(complement(s), space, c)
+                            kind = Reasoner(space, c)._classify_row(s)
+                            dual = Reasoner(space, c)._classify_row(complement(s))
                             duality_checks += 1
                             taut = kind.value == "tautology"
                             dual_contra = dual.value == "contradiction"

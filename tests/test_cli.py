@@ -6,7 +6,7 @@ import json
 import pytest
 
 from concord import dsl
-from concord.cli import main
+from concord.cli import _build_parser, main
 from concord.gadgets import nonexistence_fixture, nonuniqueness_fixture
 
 JSON_KEYS = {"command", "verdict", "witnesses", "grounds", "postulates", "stats"}
@@ -264,6 +264,24 @@ def test_unknown_command_is_input_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_parser_reused_across_calls(ne_file, capsys):
+    # The parser is built once per process; calls through it must not see
+    # each other, so each answers exactly as it does in a fresh process.
+    calls = (
+        ["--help"],
+        ["mg-exists", ne_file, "--bogus"],
+        ["mg-exists", ne_file, "--json"],
+    )
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(run(capsys, *argv)[:2])
+    together = [run(capsys, *argv)[:2] for argv in calls]
+    assert together == alone
+    assert [code for code, _ in together] == [0, 2, 0]
+    assert json.loads(together[2][1])["verdict"] == "none"
 
 
 def test_json_deterministic(ne_file, capsys):

@@ -15,6 +15,7 @@ from concord.domain import (
 from concord.errors import CapacityError, TrivialStakeholderError
 from concord.midground import (
     _candidate_pool,
+    _group_equivalent,
     binary_language,
     check_postulates,
     construct_mgs,
@@ -25,7 +26,7 @@ from concord.midground import (
     lex_candidates,
 )
 from concord.oracle import brute_mgs
-from concord.reasoner import DEFAULT_LIMITS, Limits, classify, is_consistent
+from concord.reasoner import Limits, Reasoner, classify, equivalent, is_consistent
 from concord.results import FAIL, NOT_CHECKED, PASS
 from concord.gadgets import nonexistence_fixture, nonuniqueness_fixture
 from conftest import random_profile, stmt
@@ -160,7 +161,9 @@ def test_exists_hier_nonuniqueness_fixture():
     assert res.witness is not None
     # the two statements distinguished by the construction are both available
     pool = tuple(_candidate_pool(
-        profile, hier_candidates(profile.space, profile.combiner), DEFAULT_LIMITS
+        profile,
+        hier_candidates(profile.space, profile.combiner),
+        Reasoner(profile.space, profile.combiner),
     ))
     psi1 = Statement(alts["gamma"], alts["delta"], True)
     psi2 = Statement(alts["delta"], alts["gamma"], True)
@@ -251,7 +254,7 @@ def test_pool_strict_implies_weak_closure():
         except RuntimeError:
             continue
         cands = hier_candidates(sp, SUM)
-        pool = set(_candidate_pool(profile, cands, DEFAULT_LIMITS))
+        pool = set(_candidate_pool(profile, cands, Reasoner(sp, SUM)))
         for s in pool:
             if not s.strict:
                 continue
@@ -282,7 +285,7 @@ def test_pool_filters_agree_with_postulate_audit():
             continue
         if is_consistent(profile.union_statements(), SP2, c, mc).consistent:
             continue
-        pool = set(_candidate_pool(profile, lang, DEFAULT_LIMITS))
+        pool = set(_candidate_pool(profile, lang, Reasoner(SP2, c, mc)))
         audited = set()
         for s in lang:
             if classify(s, SP2, c, mc) is not Triviality.NON_TRIVIAL:
@@ -293,6 +296,29 @@ def test_pool_filters_agree_with_postulate_audit():
         assert pool == audited, (profile, pool ^ audited)
         done += 1
     assert done == 40
+
+
+def test_grouping_key_matches_pairwise_equivalence():
+    """Grouping by the row key gives the classes, in the order, that
+    comparing each statement with every class found so far gives."""
+    rng = random.Random(23)
+    for trial in range(60):
+        n = rng.randint(1, 3)
+        dom = tuple(range(rng.randint(2, 3 if n < 3 else 2)))
+        sp = VariableSpace(tuple("v%d" % i for i in range(n)), (dom,) * n)
+        kind = ("sum", "product", "min", "max", "tie")[trial % 5]
+        c = Combiner.tie_over(dom) if kind == "tie" else Combiner(kind)
+        cands = hier_candidates(sp, c)
+        pool = rng.sample(cands, min(len(cands), 40))
+        expected: list[list[Statement]] = []
+        for s in pool:
+            for cls in expected:
+                if equivalent((s,), (cls[0],), sp, c, "hier"):
+                    cls.append(s)
+                    break
+            else:
+                expected.append([s])
+        assert _group_equivalent(pool, Reasoner(sp, c)) == expected, (sp, c)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from concord.errors import CapacityError, IndeterminateError
 from concord.models import (
     HierarchicalModel,
     LexicographicModel,
+    satisfies,
     satisfies_set,
 )
 from concord.midground import full_language
@@ -26,7 +27,7 @@ from concord.oracle import brute_consistent, brute_tautology, enumerate_lex_mode
 from concord.reasoner import (
     DEFAULT_LIMITS,
     Limits,
-    _classify_hier,
+    Reasoner,
     classify,
     classify_lex,
     entails,
@@ -86,7 +87,7 @@ def test_classify_fast_equals_generic_on_sum(data):
     right = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
     strict = data.draw(st.booleans())
     s = stmt(left, right, strict)
-    assert classify(s, sp, SUM) is _classify_hier(s, sp, SUM)
+    assert classify(s, sp, SUM) is Reasoner(sp, SUM)._classify_row(s)
 
 
 @given(st.data())
@@ -268,24 +269,73 @@ def test_hier_witness_reported_in_stats():
 
 
 def test_hier_random_against_oracle():
+    """The greedy's verdict is the oracle's, its witness holds, and it never
+    backtracks: each node takes at most one level, and each level taken
+    decides some pending statement, so there are at most as many nodes as
+    distinct statements."""
     rng = random.Random(7)
     agreements = 0
-    for _ in range(300):
+    for trial in range(600):
         n = rng.randint(1, 3)
-        sp = VariableSpace(
-            tuple("v%d" % i for i in range(n)),
-            tuple(tuple(range(rng.randint(2, 3))) for _ in range(n)),
-        )
-        kind = rng.choice(("sum", "min", "max"))
-        c = Combiner(kind)
-        k = rng.randint(1, 4)
+        dom = tuple(range(rng.randint(2, 3)))
+        sp = VariableSpace(tuple("v%d" % i for i in range(n)), (dom,) * n)
+        kind = rng.choice(("sum", "product", "min", "max", "tie"))
+        c = Combiner.tie_over(dom) if kind == "tie" else Combiner(kind)
+        k = rng.randint(1, 5)
         statements = tuple(random_statement(rng, sp) for _ in range(k))
+        if trial % 4 == 0:
+            statements = tuple(Statement(s.left, s.right, False) for s in statements)
         res = is_consistent_hier(statements, sp, c)
         assert res.consistent == brute_consistent(statements, sp, c, "hier")
         if res.consistent:
             assert satisfies_set(res.witness, statements, c)
+        nodes, taken = res.stats.nodes, res.stats.levels_tried
+        assert nodes <= len(set(statements))
+        assert taken == (nodes if res.consistent else max(nodes - 1, 0))
         agreements += 1
-    assert agreements == 300
+    assert agreements == 600
+
+
+def _planted_max_set(rng, n, m, top=3):
+    """m statements over n variables (domain 0..top), each oriented by one
+    hidden max-combiner model, about 70% of the decided ones strict."""
+    order = rng.sample(range(n), n)
+    levels = []
+    while order:
+        size = rng.randint(1, 3)
+        levels.append(frozenset(order[:size]))
+        order = order[size:]
+    model = HierarchicalModel(tuple(levels))
+    c = Combiner("max")
+    statements = []
+    while len(statements) < m:
+        a = alt(*(rng.randint(0, top) for _ in range(n)))
+        b = alt(*(rng.randint(0, top) for _ in range(n)))
+        if a == b:
+            continue
+        if satisfies(model, Statement(b, a, True), c):
+            a, b = b, a
+        strict = satisfies(model, Statement(a, b, True), c) and rng.random() < 0.7
+        statements.append(Statement(a, b, strict))
+    return model, c, tuple(statements)
+
+
+def test_hier_entailment_of_a_member_on_a_planted_max_set():
+    # Proving that a 40-statement max-combiner set entails one of its members
+    # means showing the set plus the member's complement inconsistent, which
+    # a backtracking search can only do by exhausting every branch; the
+    # greedy spends at most one node per statement.
+    rng = random.Random(1)
+    n = 12
+    sp = VariableSpace(tuple("x%d" % i for i in range(n)), ((0, 1, 2, 3),) * n)
+    model, c, statements = _planted_max_set(rng, n, 40)
+    assert satisfies_set(model, statements, c)
+    member = statements[0]
+    assert entails(statements, member, sp, c, "hier")
+    probe = statements + (complement(member),)
+    res = is_consistent_hier(probe, sp, c)
+    assert not res.consistent
+    assert res.stats.nodes <= len(set(probe))
 
 
 # ---------------------------------------------------------------------------

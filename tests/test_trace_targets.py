@@ -11,11 +11,10 @@ import importlib
 import types
 from pathlib import Path
 
-from concord.domain import Combiner, VariableSpace, dedupe_statements
+from concord.domain import Combiner, VariableSpace
 from concord.reasoner import (
     _canonical_levels,
     _lex_greedy,
-    _level_table,
     is_consistent_hier,
     sign_matrix,
 )
@@ -57,8 +56,9 @@ def test_traced_return_shapes():
 
 
 def test_traced_hier_cells_match_the_built_table():
-    # The tracer counts the statements x canonical levels table of each
-    # is_consistent_hier call; a repeated statement is compared once.
+    # The tracer counts statements x canonical levels for each
+    # is_consistent_hier call: one row over every canonical level per
+    # distinct statement, a repeated statement compiled once.
     space = VariableSpace(("x", "y", "z"), ((0, 1, 2),) * 3)
     c = Combiner("max")
     statements = (
@@ -68,6 +68,5 @@ def test_traced_hier_cells_match_the_built_table():
     )
     args = (statements, space, c)
     res = is_consistent_hier(*args)
-    table = _level_table(dedupe_statements(statements), 3, c, _canonical_levels(3))
     cells = _tracing()._hier_cells(args, {}, res)
-    assert cells == len(table) * len(table[0]) == 2 * 7
+    assert cells == len(set(statements)) * len(_canonical_levels(3)) == 2 * 7
