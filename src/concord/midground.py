@@ -4,7 +4,10 @@ A middle ground for several stakeholders is a statement set that is non-trivial
 (P1), collapses to the plain union whenever that union is consistent (P2),
 stays compatible with every individual stakeholder statement (P3), only says
 things some stakeholder already implies (P4), and is entailment-maximal among
-sets with these properties (P5).
+sets with these properties (P5). With an inconsistent union, P5 is decided
+without enumerating models (``_p5_verdict``): a consistent candidate passes
+when no pool statement it does not entail is consistent with it, fails when
+one is and every member is in the pool, and is left not-checked otherwise.
 
 Construction follows the candidate-filter route: keep the statements of a
 language that individually pass the non-triviality, compatibility and
@@ -34,7 +37,6 @@ from .domain import (
     dedupe_statements,
 )
 from .errors import CapacityError, DomainMismatchError, TrivialStakeholderError
-from .oracle import brute_p5
 from .reasoner import (
     DEFAULT_LIMITS,
     Limits,
@@ -82,6 +84,14 @@ def _require_nontrivial(profile: Profile, r: Reasoner) -> None:
             )
 
 
+def _check_language_size(size: int, limits: Limits, what: str = "language") -> None:
+    """The ``max_language`` cap, checked before a language is built."""
+    if size > limits.max_language:
+        raise CapacityError(
+            f"{what} has {size} statements, cap is {limits.max_language}"
+        )
+
+
 def full_language(
     space: VariableSpace, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[Statement, ...]:
@@ -89,11 +99,7 @@ def full_language(
     n_alts = 1
     for dom in space.domains:
         n_alts *= len(dom)
-    if 2 * n_alts * n_alts > limits.max_language:
-        raise CapacityError(
-            f"full language has {2 * n_alts * n_alts} statements, "
-            f"cap is {limits.max_language}"
-        )
+    _check_language_size(2 * n_alts * n_alts, limits, "full language")
     out: list[Statement] = []
     alts = list(space.alternatives())
     for a, b in itertools.product(alts, alts):
@@ -102,13 +108,16 @@ def full_language(
     return tuple(out)
 
 
-def binary_language(space: VariableSpace) -> tuple[Statement, ...]:
+def binary_language(
+    space: VariableSpace, limits: Limits = DEFAULT_LIMITS
+) -> tuple[Statement, ...]:
     """All statements over the binary space in per-variable sign form.
 
     One pair of sides per sign vector: a variable carries (1,0), (0,1) or
     (0,0) as the left/right values. Under lexicographic models every statement
     is equivalent to its sign form, so this set is complete for that class.
     """
+    _check_language_size(2 * 3**space.size, limits, "binary language")
     out: list[Statement] = []
     for signs in itertools.product((1, 0, -1), repeat=space.size):
         left = Alternative(tuple(1 if s > 0 else 0 for s in signs))
@@ -295,16 +304,14 @@ def _resolve_language(
         if language == "full":
             return full_language(profile.space, r.limits), True
         if language == "binary":
-            return binary_language(profile.space), lex
+            return binary_language(profile.space, r.limits), lex
         if language == "candidates":
             if lex:
                 return lex_candidates(profile.space), False
             return _hier_candidates(r), True
         raise ValueError(f"unknown language selector {language!r}")
     lang = dedupe_statements(language)
-    cap = r.limits.max_language
-    if len(lang) > cap:
-        raise CapacityError(f"language has {len(lang)} statements, cap is {cap}")
+    _check_language_size(len(lang), r.limits)
     return lang, False
 
 
@@ -410,9 +417,13 @@ def check_postulates(
     """Evaluate a candidate set against the five middle-ground postulates.
 
     The entailment-maximality postulate is only decided when ``check_p5`` is
-    set: with a consistent union it reduces to two entailment questions against
-    the union, otherwise it runs the oracle scan over the default language and
-    reports not-checked when that scan is out of capacity.
+    set. With a consistent union it reduces to two entailment questions
+    against the union. Otherwise it is the split scan of ``_p5_verdict`` over
+    the default language (``binary_language`` for lexicographic profiles,
+    ``hier_candidates`` for hierarchical ones): it passes when no pool
+    statement splits the candidate, fails when one does and every
+    non-tautological member is in the pool, and is not-checked when one does
+    but some member fails P3 or P4, or when the scan is out of capacity.
     """
     r = Reasoner(profile.space, profile.combiner, profile.model_class, limits)
     _require_nontrivial(profile, r)
@@ -444,14 +455,60 @@ def check_postulates(
             r.entails(cand, u) for u in union
         )
         p5 = PostulateCheck(FAIL if union_stronger else PASS)
+    elif not consistent:
+        # No set narrows an empty model set.
+        p5 = PostulateCheck(PASS)
     else:
         try:
-            if profile.model_class == "lex":
-                lang = binary_language(profile.space)
-            else:
-                lang = _hier_candidates(r)
-            ok = brute_p5(cand, profile, lang, limits.oracle_budget)
-            p5 = PostulateCheck(PASS if ok else FAIL)
+            p5 = PostulateCheck(_p5_verdict(cand, profile, r))
         except CapacityError:
             p5 = PostulateCheck(NOT_CHECKED)
     return PostulateReport(p1, p2, p3, p4, p5)
+
+
+def _p5_verdict(cand: Sequence[Statement], profile: Profile, r: Reasoner) -> str:
+    """P5 for a consistent candidate when the union is inconsistent.
+
+    The pool is the default language's non-trivial statements that pass P3
+    and P4. A pool statement ``s`` *splits* the candidate when the candidate
+    plus ``s`` is consistent and the candidate does not entail ``s``.
+
+    - No splitter: pass. A violator ``S`` (a consistent pool subset whose
+      models are a proper subset of the candidate's) holds some ``s`` the
+      candidate does not entail, and the models of the candidate plus ``s``
+      include those of ``S``, so ``s`` splits.
+    - A splitter ``s`` and every non-tautological member in the pool: fail,
+      with the candidate plus ``s`` as the violator.
+    - A splitter and a member outside the pool: not-checked. That member
+      fails P3 or P4, so the candidate is no middle ground either way.
+
+    Equivalent statements split alike and pass the filters alike, so the
+    scan asks about one statement per ``Reasoner.equivalence_key``, and the
+    members shrink to one per key as well; keys the candidate holds are
+    entailed and skipped. The split test (two greedy calls) runs before the
+    filters, which only the splitters reach.
+    """
+    members = {
+        r.equivalence_key(s): s
+        for s in cand
+        if r.classify(s) is not Triviality.TAUTOLOGY
+    }
+    reps = tuple(members.values())
+    seen = set(members)
+    lex = profile.model_class == "lex"
+    lang = binary_language(r.space, r.limits) if lex else _hier_candidates(r)
+    union = profile.union_statements()
+
+    def in_pool(s: Statement) -> bool:
+        return _compatible(s, union, r) and _entailed(s, profile, r)
+
+    for s in lang:
+        key = r.equivalence_key(s)
+        if key in seen:
+            continue
+        seen.add(key)
+        if not r.is_consistent(reps + (s,)).consistent or r.entails(reps, s):
+            continue
+        if in_pool(s):
+            return FAIL if all(in_pool(m) for m in reps) else NOT_CHECKED
+    return PASS

@@ -45,7 +45,6 @@ class Limits:
     max_vars_classify: int = 20
     max_language: int = 1_000_000
     timeout_ms: int | None = None
-    oracle_budget: int = 200_000
 
 
 DEFAULT_LIMITS = Limits()
@@ -449,9 +448,7 @@ def is_consistent(
     model_class: str,
     limits: Limits = DEFAULT_LIMITS,
 ) -> ConsistencyResult:
-    if model_class == "lex":
-        return is_consistent_lex(statements, space, c, limits)
-    return is_consistent_hier(statements, space, c, limits)
+    return Reasoner(space, c, model_class, limits).is_consistent(statements)
 
 
 def entails(

@@ -238,6 +238,15 @@ def test_capacity_exit_code(ne_file, capsys):
     assert "stopped" in err
 
 
+def test_binary_language_cap_exit_code(lex_file, capsys):
+    # lex construction scans the binary language: 2 * 3**3 = 54 statements
+    code, _, err = run(capsys, "mg-construct", lex_file, "--max-language", "53")
+    assert code == 3
+    assert "binary language has 54 statements" in err
+    code, _, _ = run(capsys, "mg-construct", lex_file, "--max-language", "54")
+    assert code == 0
+
+
 def test_config_file(ne_file, tmp_path, capsys):
     cfg = tmp_path / "limits.cfg"
     cfg.write_text("max_vars_hier = 1\n")

@@ -25,7 +25,7 @@ from concord.midground import (
     hier_candidates,
     lex_candidates,
 )
-from concord.oracle import brute_mgs
+from concord.oracle import brute_mgs, brute_p5
 from concord.reasoner import Limits, Reasoner, classify, equivalent, is_consistent
 from concord.results import FAIL, NOT_CHECKED, PASS
 from concord.gadgets import nonexistence_fixture, nonuniqueness_fixture
@@ -359,6 +359,23 @@ def test_construct_full_refuses_oversized_language():
         construct_mgs(profile, "full", Limits(max_language=10))
 
 
+def test_binary_language_capacity():
+    """The binary selector, the default for lexicographic construction, obeys
+    the language cap like the others; P5, which scans it, turns not-checked."""
+    small = Limits(max_language=2 * 3**3 - 1)
+    with pytest.raises(CapacityError):
+        binary_language(SP3, small)
+    a = stmt((1, 0, 0), (0, 1, 0))
+    b = stmt((0, 1, 0), (1, 0, 0))
+    profile = lex_profile((a,), (b,), space=SP3)
+    with pytest.raises(CapacityError):
+        construct_mgs(profile, limits=small)
+    ground = construct_mgs(profile).grounds[0]
+    assert check_postulates(ground, profile, check_p5=True).p5.verdict == PASS
+    report = check_postulates(ground, profile, check_p5=True, limits=small)
+    assert report.p5.verdict == NOT_CHECKED
+
+
 def test_construct_lex_matches_oracle_small():
     rng = random.Random(11)
     done = 0
@@ -460,6 +477,48 @@ def test_postulates_p4_offender_for_unanchored_statement():
     report = check_postulates((loose,), profile)
     assert report.p4.verdict == FAIL
     assert loose in report.p4.offenders
+
+
+def test_p5_matches_oracle():
+    """The split scan gives ``oracle.brute_p5``'s verdict whenever it decides,
+    and leaves P5 not-checked only for candidates that fail P3 or P4."""
+    rng = random.Random(29)
+    settings = [("hier", Combiner(kind)) for kind in
+                ("sum", "max", "min", "product", "and", "or")]
+    settings += [("hier", Combiner.tie_over((0, 1))), ("lex", SUM)]
+    lang = full_language(SP2)
+    verdicts = {PASS: 0, FAIL: 0, NOT_CHECKED: 0}
+    done = 0
+    for _ in range(400):
+        if done == 48:
+            break
+        mc, c = settings[done % len(settings)]
+        try:
+            profile = random_profile(rng, SP2, c, mc, 2, 2)
+        except RuntimeError:
+            continue
+        if is_consistent(profile.union_statements(), SP2, c, mc).consistent:
+            continue
+        r = Reasoner(SP2, c, mc)
+        default = binary_language(SP2) if mc == "lex" else hier_candidates(SP2, c)
+        pool = list(_candidate_pool(profile, default, r))
+        cands = list(construct_mgs(profile).grounds)
+        for _ in range(4):
+            if pool:
+                cands.append(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+            cands.append(rng.sample(lang, rng.randint(1, 3)))
+        for cand in cands:
+            report = check_postulates(cand, profile, check_p5=True)
+            verdict = report.p5.verdict
+            verdicts[verdict] += 1
+            if verdict == NOT_CHECKED:
+                assert not (report.p3.ok and report.p4.ok), (profile, cand)
+            else:
+                want = PASS if brute_p5(cand, profile, default) else FAIL
+                assert verdict == want, (profile, cand)
+        done += 1
+    assert done == 48
+    assert min(verdicts.values()) > 0, verdicts
 
 
 def test_postulates_p5_oracle_fail_on_extendable_candidate():
