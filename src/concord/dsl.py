@@ -22,12 +22,22 @@ Combiner words: ``sum``, ``product``, ``min``, ``max``, ``and``, ``or``,
 plus ``tie`` for the table combiner in which every pairwise combination
 lands on a fresh value above the declared domains (so multi-variable
 levels always tie).
+
+The scanner is one pass of one regular expression. Tokens are plain
+``(kind, text, offset)`` tuples; whitespace and comments are dropped. A
+tuple of integers with only whitespace or newlines between its parts is a
+single token, and its values are read in one step; any other tuple (a
+comment inside it, or a malformed one) is read element by element, so errors
+name the element at fault. Line and column are worked out from a token's
+offset only when a node's span or an error needs them, counting newlines
+forward from the last position asked for.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import le
 
 from .domain import (
     Alternative,
@@ -97,56 +107,45 @@ class Document:
 # ---------------------------------------------------------------------------
 # tokenizer
 
+# Alternatives are tried in order. Whitespace and comments match without a
+# group and are dropped; a "(" that does not open a whole "tuple" is a "sym";
+# "bad" takes any character nothing else does.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>\#[^\n]*)
+      [ \t\r]+
+    | \#[^\n]*
+    | (?P<tuple>\([ \t\r\n]*-?\d+(?:[ \t\r\n]*,[ \t\r\n]*-?\d+)*[ \t\r\n]*\))
     | (?P<nl>\n)
     | (?P<dots>\.\.)
     | (?P<ge>>=)
     | (?P<int>-?\d+)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<sym>[(),:;{}>])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "nl", "dots", "ge", "int", "name", "sym", "eof"
-    text: str
-    line: int
-    col: int
+# A token is (kind, text, offset): kind is "tuple", "nl", "dots", "ge", "int",
+# "name", "sym", "bad" or "eof"; offset indexes the document text.
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                "syntax", line, pos - line_start + 1,
-                "unexpected character %r" % text[pos],
-            )
-        kind = m.lastgroup
-        tok_text = m.group()
-        col = pos - line_start + 1
-        pos = m.end()
-        if kind == "ws" or kind == "comment":
-            continue
-        if kind == "nl":
-            tokens.append(_Token("nl", "\n", line, col))
-            line += 1
-            line_start = pos
-            continue
-        tokens.append(_Token(kind, tok_text, line, col))
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+    tokens = [
+        (kind, m.group(), m.start())
+        for m in _TOKEN_RE.finditer(text)
+        if (kind := m.lastgroup) is not None
+    ]
+    tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _shown(tok: _Token) -> str:
+    """How an unexpected token reads in a message; a tuple shows its '('."""
+    if tok[0] == "eof":
+        return "end of input"
+    return repr("(" if tok[0] == "tuple" else tok[1])
 
 
 # ---------------------------------------------------------------------------
@@ -154,48 +153,81 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
+        # The last offset given a span, its line, and where that line starts.
+        self.mark = 0
+        self.line = 1
+        self.line_start = 0
+        self.declare(())
+        for tok in self.tokens:
+            if tok[0] == "bad":
+                raise self.error("syntax", tok, "unexpected character %r" % tok[1])
+
+    def declare(self, decls: tuple[VarDecl, ...]) -> None:
+        """Set the variables that tuples are checked against."""
+        self.decls = decls
+        self.lows = tuple(d.lo for d in decls)
+        self.highs = tuple(d.hi for d in decls)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
+    def span(self, tok: _Token) -> tuple[int, int]:
+        """Line and column of a token.
+
+        Tokens must be asked for in document order, as the parser meets them:
+        each call counts newlines only since the previous one, so the text is
+        read once however many spans are asked for.
+        """
+        offset = tok[2]
+        newlines = self.text.count("\n", self.mark, offset)
+        if newlines:
+            self.line += newlines
+            self.line_start = self.text.rfind("\n", self.mark, offset) + 1
+        self.mark = offset
+        return self.line, offset - self.line_start + 1
+
     def error(self, code: str, tok: _Token, message: str) -> ParseError:
-        return ParseError(code, tok.line, tok.col, message)
+        line, col = self.span(tok)
+        return ParseError(code, line, col, message)
+
+    def at_sym(self, text: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok[0] == "sym" and tok[1] == text
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok[0] != kind or (text is not None and tok[1] != text):
             wanted = what or (text if text is not None else kind)
-            got = "end of input" if tok.kind == "eof" else repr(tok.text)
-            raise self.error("syntax", tok, "expected %s, got %s" % (wanted, got))
+            raise self.error("syntax", tok, "expected %s, got %s" % (wanted, _shown(tok)))
         return self.advance()
 
     def expect_keyword(self, word: str) -> _Token:
         return self.expect("name", word, "keyword %r" % word)
 
     def skip_newlines(self) -> None:
-        while self.peek().kind == "nl":
-            self.advance()
+        while self.tokens[self.pos][0] == "nl":
+            self.pos += 1
 
     def expect_line_end(self) -> None:
         tok = self.peek()
-        if tok.kind == "eof":
+        if tok[0] == "eof":
             return
-        if tok.kind != "nl":
-            raise self.error("syntax", tok, "expected end of line, got %r" % tok.text)
+        if tok[0] != "nl":
+            raise self.error("syntax", tok, "expected end of line, got %s" % _shown(tok))
         self.advance()
 
     def parse_int(self) -> int:
-        tok = self.expect("int", what="an integer")
-        return int(tok.text)
+        return int(self.expect("int", what="an integer")[1])
 
     # header ---------------------------------------------------------------
 
@@ -205,18 +237,19 @@ class _Parser:
         lo = self.parse_int()
         self.expect("dots", what="'..'")
         hi = self.parse_int()
+        name = name_tok[1]
         if lo > hi:
             raise self.error(
                 "bad-range", name_tok,
-                "empty range %d..%d for variable %r" % (lo, hi, name_tok.text),
+                "empty range %d..%d for variable %r" % (lo, hi, name),
             )
-        return VarDecl(name_tok.text, lo, hi, span=(name_tok.line, name_tok.col))
+        return VarDecl(name, lo, hi, span=self.span(name_tok))
 
     def parse_header(self) -> tuple[tuple[VarDecl, ...], str, str]:
         self.skip_newlines()
         self.expect_keyword("vars")
         decls = [self.parse_vardecl()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
+        while self.at_sym(","):
             self.advance()
             decls.append(self.parse_vardecl())
         seen: set[str] = set()
@@ -232,99 +265,106 @@ class _Parser:
         self.skip_newlines()
         self.expect_keyword("combiner")
         comb_tok = self.expect("name", what="a combiner word")
-        if comb_tok.text not in COMBINER_WORDS:
+        if comb_tok[1] not in COMBINER_WORDS:
             raise self.error(
                 "bad-combiner", comb_tok,
                 "unknown combiner %r (expected one of %s)"
-                % (comb_tok.text, ", ".join(COMBINER_WORDS)),
+                % (comb_tok[1], ", ".join(COMBINER_WORDS)),
             )
         self.expect_line_end()
 
         self.skip_newlines()
         self.expect_keyword("models")
         model_tok = self.expect("name", what="a model class word")
-        if model_tok.text not in MODEL_WORDS:
+        if model_tok[1] not in MODEL_WORDS:
             raise self.error(
                 "bad-models", model_tok,
                 "unknown model class %r (expected one of %s)"
-                % (model_tok.text, ", ".join(MODEL_WORDS)),
+                % (model_tok[1], ", ".join(MODEL_WORDS)),
             )
         self.expect_line_end()
 
-        return tuple(decls), comb_tok.text, model_tok.text
+        return tuple(decls), comb_tok[1], model_tok[1]
 
     # body -----------------------------------------------------------------
 
-    def parse_tuple(self, decls: tuple[VarDecl, ...]) -> tuple[tuple[int, ...], _Token]:
-        open_tok = self.expect("sym", "(")
-        self.skip_newlines()
-        values = [self.parse_int()]
-        self.skip_newlines()
-        while self.peek().kind == "sym" and self.peek().text == ",":
-            self.advance()
+    def parse_tuple(self) -> tuple[tuple[int, ...], _Token]:
+        open_tok = self.peek()
+        if open_tok[0] == "tuple":
+            self.pos += 1
+            # The token is "(" ints ")" with only whitespace around the
+            # commas, and int() skips that whitespace.
+            values = tuple(map(int, open_tok[1][1:-1].split(",")))
+        else:
+            # A tuple the scanner did not take whole: read it element by
+            # element, so a malformed one is reported at its first bad part.
+            self.expect("sym", "(")
             self.skip_newlines()
-            values.append(self.parse_int())
+            elements = [self.parse_int()]
             self.skip_newlines()
-        self.expect("sym", ")")
-        if len(values) != len(decls):
+            while self.at_sym(","):
+                self.advance()
+                self.skip_newlines()
+                elements.append(self.parse_int())
+                self.skip_newlines()
+            self.expect("sym", ")")
+            values = tuple(elements)
+        if len(values) != len(self.decls):
             raise self.error(
                 "bad-tuple-arity", open_tok,
                 "tuple has %d values but %d variables are declared"
-                % (len(values), len(decls)),
+                % (len(values), len(self.decls)),
             )
-        for decl, value in zip(decls, values):
-            if not decl.lo <= value <= decl.hi:
-                raise self.error(
-                    "value-out-of-range", open_tok,
-                    "value %d is outside %d..%d for variable %r"
-                    % (value, decl.lo, decl.hi, decl.name),
-                )
-        return tuple(values), open_tok
+        if not (all(map(le, self.lows, values)) and all(map(le, values, self.highs))):
+            for decl, value in zip(self.decls, values):
+                if not decl.lo <= value <= decl.hi:
+                    raise self.error(
+                        "value-out-of-range", open_tok,
+                        "value %d is outside %d..%d for variable %r"
+                        % (value, decl.lo, decl.hi, decl.name),
+                    )
+        return values, open_tok
 
-    def parse_statement(self, decls: tuple[VarDecl, ...]) -> StatementNode:
-        left, open_tok = self.parse_tuple(decls)
+    def parse_statement(self) -> StatementNode:
+        left, open_tok = self.parse_tuple()
         self.skip_newlines()
         tok = self.peek()
-        if tok.kind == "ge":
+        if tok[0] == "ge":
             strict = False
-        elif tok.kind == "sym" and tok.text == ">":
+        elif tok[0] == "sym" and tok[1] == ">":
             strict = True
         else:
-            got = "end of input" if tok.kind == "eof" else repr(tok.text)
-            raise self.error("syntax", tok, "expected '>' or '>=', got %s" % got)
+            raise self.error("syntax", tok, "expected '>' or '>=', got %s" % _shown(tok))
         self.advance()
         self.skip_newlines()
-        right, _ = self.parse_tuple(decls)
-        return StatementNode(left, right, strict, span=(open_tok.line, open_tok.col))
+        right, _ = self.parse_tuple()
+        return StatementNode(left, right, strict, span=self.span(open_tok))
 
-    def parse_stakeholder(self, decls: tuple[VarDecl, ...]) -> StakeholderBlock:
+    def parse_stakeholder(self) -> StakeholderBlock:
         kw = self.expect_keyword("stakeholder")
+        span = self.span(kw)
         name_tok = self.expect("name", what="a stakeholder name")
         self.skip_newlines()
         self.expect("sym", "{")
         self.skip_newlines()
-        statements = [self.parse_statement(decls)]
+        statements = [self.parse_statement()]
         self.skip_newlines()
-        while self.peek().kind == "sym" and self.peek().text == ";":
+        while self.at_sym(";"):
             self.advance()
             self.skip_newlines()
-            statements.append(self.parse_statement(decls))
+            statements.append(self.parse_statement())
             self.skip_newlines()
         self.expect("sym", "}")
-        return StakeholderBlock(
-            name_tok.text, tuple(statements), span=(kw.line, kw.col)
-        )
+        return StakeholderBlock(name_tok[1], tuple(statements), span=span)
 
     def parse_document(self) -> Document:
         decls, combiner, model_class = self.parse_header()
+        self.declare(decls)
         self.skip_newlines()
         blocks: list[StakeholderBlock] = []
         names: set[str] = set()
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
-            block = self.parse_stakeholder(decls)
+        while self.peek()[0] != "eof":
+            block = self.parse_stakeholder()
             if block.name in names:
                 raise ParseError(
                     "dup-stakeholder", block.span[0], block.span[1],
@@ -334,15 +374,13 @@ class _Parser:
             blocks.append(block)
             self.skip_newlines()
         if not blocks:
-            tok = self.peek()
-            raise self.error("syntax", tok, "expected at least one stakeholder block")
+            raise self.error("syntax", self.peek(), "expected at least one stakeholder block")
         return Document(decls, combiner, model_class, tuple(blocks))
 
 
 def parse(text: str) -> Document:
     """Parse a profile document, raising ParseError on any malformed input."""
-    parser = _Parser(_tokenize(text))
-    return parser.parse_document()
+    return _Parser(text).parse_document()
 
 
 def parse_statement(text: str, variables: tuple[VarDecl, ...]) -> StatementNode:
@@ -351,13 +389,14 @@ def parse_statement(text: str, variables: tuple[VarDecl, ...]) -> StatementNode:
     Arity and ranges are checked against *variables*, which normally come
     from an already parsed Document.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
+    parser.declare(variables)
     parser.skip_newlines()
-    node = parser.parse_statement(variables)
+    node = parser.parse_statement()
     parser.skip_newlines()
     tok = parser.peek()
-    if tok.kind != "eof":
-        raise parser.error("syntax", tok, "unexpected trailing %r" % tok.text)
+    if tok[0] != "eof":
+        raise parser.error("syntax", tok, "unexpected trailing %s" % _shown(tok))
     return node
 
 

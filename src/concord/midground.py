@@ -440,10 +440,18 @@ def check_postulates(
     else:
         p2 = PostulateCheck(PASS)
 
-    p3_bad = tuple(s for s in cand if not _compatible(s, union, r))
+    # Statements sharing an equivalence key hold in the same models, so P3
+    # and P4 are asked once per key.
+    keys = [r.equivalence_key(s) for s in cand]
+    verdicts: dict[tuple, tuple[bool, bool]] = {}
+    for s, key in zip(cand, keys):
+        if key not in verdicts:
+            verdicts[key] = (_compatible(s, union, r), _entailed(s, profile, r))
+
+    p3_bad = tuple(s for s, key in zip(cand, keys) if not verdicts[key][0])
     p3 = PostulateCheck(PASS if not p3_bad else FAIL, p3_bad)
 
-    p4_bad = tuple(s for s in cand if not _entailed(s, profile, r))
+    p4_bad = tuple(s for s, key in zip(cand, keys) if not verdicts[key][1])
     p4 = PostulateCheck(PASS if not p4_bad else FAIL, p4_bad)
 
     if not check_p5:

@@ -42,12 +42,15 @@ class Limits:
     """Capacity knobs; the defaults match the documented caps."""
 
     max_vars_hier: int = 14
-    max_vars_classify: int = 20
     max_language: int = 1_000_000
     timeout_ms: int | None = None
 
 
 DEFAULT_LIMITS = Limits()
+
+# Hierarchical classification compiles a row over 2^n - 1 levels; refuse it
+# beyond this many variables.
+MAX_VARS_CLASSIFY = 20
 
 
 def _subset_folds(alt: Alternative, n: int, c: Combiner) -> list[int]:
@@ -98,7 +101,11 @@ def sign_matrix(
     if c.rank is None:
         left = np.array([s.left.values for s in statements], dtype=np.int64)
         right = np.array([s.right.values for s in statements], dtype=np.int64)
-        signs = np.sign(left - right).astype(np.int8)
+        # In place: two fewer matrix-sized temporaries. With four, a
+        # 1,000-statement call freed enough for the C allocator to hand the
+        # memory back and fault it in again on the next call.
+        np.subtract(left, right, out=left)
+        signs = np.sign(left, out=left).astype(np.int8)
     else:
         signs = np.array([c.signs(s) for s in statements], dtype=np.int8)
     strict = np.array([s.strict for s in statements], dtype=bool)
@@ -292,9 +299,10 @@ class Reasoner:
         """
         if self.model_class == "lex" or self.c.kind == "sum":
             return classify_lex(s, self.space, self.c)
-        cap = self.limits.max_vars_classify
-        if self.space.size > cap:
-            raise CapacityError(f"generic classification capped at {cap} variables")
+        if self.space.size > MAX_VARS_CLASSIFY:
+            raise CapacityError(
+                f"generic classification capped at {MAX_VARS_CLASSIFY} variables"
+            )
         return self._classify_row(s)
 
     def _classify_row(self, s: Statement) -> Triviality:

@@ -120,6 +120,128 @@ def test_error_position_points_at_offender():
     assert (exc.value.line, exc.value.col) == (2, 10)
 
 
+_HEAD = "vars x:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n"
+
+
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        # a tuple where the grammar wants something else reads as '('
+        (_HEAD + "stakeholder (0,1) {(0,1)>(1,0)}",
+         "expected a stakeholder name, got '('", 4, 13),
+        (_HEAD + "stakeholder p (0,1)>(1,0)}", "expected {, got '('", 4, 15),
+        (_HEAD + "stakeholder p {(0,1)>(1,0) (1,1)>(0,0)}",
+         "expected }, got '('", 4, 28),
+        (_HEAD + "stakeholder p {(0,1) (1,0)}",
+         "expected '>' or '>=', got '('", 4, 22),
+        (_HEAD + "(0,1)", "expected keyword 'stakeholder', got '('", 4, 1),
+        ("vars x:0..1, y:0..1 (0,1)\ncombiner sum\nmodels hierarchical\n"
+         "stakeholder p {(0,1)>(1,0)}", "expected end of line, got '('", 1, 21),
+        ("vars x:(0)..1\ncombiner sum\nmodels hierarchical\nstakeholder p {(0)>(1)}",
+         "expected an integer, got '('", 1, 8),
+        # missing ';' between two statements
+        (_HEAD + "stakeholder p {\n  (0,1) > (1,0)\n  (1,1) > (0,0)\n}\n",
+         "expected }, got '('", 6, 3),
+        # after a multi-line tuple
+        (_HEAD + "stakeholder p {\n  (0,\n   1) > (1,\n 0) $\n}\n",
+         "unexpected character '$'", 7, 5),
+        (_HEAD + "stakeholder p {\n  (0,\n   1) > (1,\n 0); (1,1) >= (0,\n0) q\n}\n",
+         "expected }, got 'q'", 8, 4),
+        # CRLF lines: the '\r' is whitespace and takes a column
+        ((_HEAD + "stakeholder p {\n (0,1) > (1,0)\n (1,1) > (0,0)\n}\n")
+         .replace("\n", "\r\n"), "expected }, got '('", 6, 2),
+        ((_HEAD + "stakeholder p {\n  (0,1) > (1,0);\n  (1,1) = (0,0)\n}\n")
+         .replace("\n", "\r\n"), "unexpected character '='", 6, 9),
+        ("vars x:0..1, y:0..1 \r\ncombiner sum extra\r\n",
+         "expected end of line, got 'extra'", 2, 14),
+        # duplicate names are reported at the second declaration
+        (_HEAD + "# c 1\nstakeholder p { # (9,9)\n (0,\n 1) > (1,0) }\n"
+         "# more (1,1)\n  stakeholder p {(1,1)>(0,0)}\n",
+         "stakeholder 'p' declared twice", 9, 3),
+        ("# a (1,2)\n  vars x:0..1,   y:0..1, x:0..2\ncombiner sum\n"
+         "models hierarchical\nstakeholder p {(0,1,0)>(1,0,0)}",
+         "variable 'x' declared twice", 2, 26),
+        # tuple contents: reported at the '(' or at the offending element
+        (_HEAD + "stakeholder p {\n (0,\n 1, 1) > (1,0)}",
+         "tuple has 3 values but 2 variables are declared", 5, 2),
+        (_HEAD + "stakeholder p {(0, # 5,5\n 1, 1) > (1,0)}",
+         "tuple has 3 values but 2 variables are declared", 4, 16),
+        (_HEAD + "stakeholder p {(0,1) > (1,\n 2)}",
+         "value 2 is outside 0..1 for variable 'y'", 4, 24),
+        (_HEAD + "stakeholder p {(0,a) > (1,0)}", "expected an integer, got 'a'", 4, 19),
+        (_HEAD + "stakeholder p {(0,1 > (1,0)}", "expected ), got '>'", 4, 21),
+        (_HEAD + "stakeholder p {(0,1,) > (1,0)}", "expected an integer, got ')'", 4, 21),
+        (_HEAD + "stakeholder p {(0,- 1) > (1,0)}", "unexpected character '-'", 4, 19),
+        (_HEAD + "stakeholder p {(0,\x0b1) > (1,0)}", "unexpected character '\\x0b'", 4, 19),
+        (_HEAD + "stakeholder p {(0,1) > (1,", "expected an integer, got end of input", 4, 27),
+        (_HEAD + "stakeholder p {(0,1) > (1,0)", "expected }, got end of input", 4, 29),
+    ],
+)
+def test_error_text_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        dsl.parse(text)
+    e = exc.value
+    assert (e.message, e.line, e.col) == (message, line, col)
+    assert str(e) == "%d:%d: %s [%s]" % (line, col, message, e.code)
+
+
+@pytest.mark.parametrize(
+    "text,message,col",
+    [
+        ("(0,1) >= (1,0) (1,1)", "unexpected trailing '('", 16),
+        ("(0,1) >= (1,0) x", "unexpected trailing 'x'", 16),
+        ("(0,1) (1,0)", "expected '>' or '>=', got '('", 7),
+    ],
+)
+def test_parse_statement_error_text(text, message, col):
+    variables = dsl.parse(_HEAD + "stakeholder p {(0,1)>(1,0)}").variables
+    with pytest.raises(ParseError) as exc:
+        dsl.parse_statement(text, variables)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, 1, col)
+
+
+def test_large_document_round_trip():
+    rng = random.Random(8)
+    nvars = 50
+    decls = tuple(dsl.VarDecl("v%d" % i, -3, 9) for i in range(nvars))
+    blocks = tuple(
+        dsl.StakeholderBlock(
+            "s%d" % b,
+            tuple(
+                dsl.StatementNode(
+                    tuple(rng.randint(-3, 9) for _ in range(nvars)),
+                    tuple(rng.randint(-3, 9) for _ in range(nvars)),
+                    rng.random() < 0.5,
+                )
+                for _ in range(100)
+            ),
+        )
+        for b in range(10)
+    )
+    doc = dsl.Document(decls, "sum", "lexicographic", blocks)
+    assert dsl.parse(dsl.render(doc)) == doc
+
+
+def test_digits_in_a_comment_inside_a_tuple_are_not_values():
+    text = _HEAD + "stakeholder p {\n  (1, # was 0, 0\n   0) > ( # 1,1\n 0,1)\n}\n"
+    node = dsl.parse(text).stakeholders[0].statements[0]
+    assert (node.left, node.right) == ((1, 0), (0, 1))
+    assert node.span == (5, 3)
+
+
+def test_spans_are_line_and_column_of_each_node():
+    text = (
+        "# spans\r\nvars x:0..1,\ty:0..1\r\ncombiner sum\r\nmodels hierarchical\r\n"
+        "stakeholder p { (0,1) > (1,0);\r\n  (1,\r\n 1) >= (0,0); # (0,0)\r\n"
+        "(0,0)>(1,1) }\r\n  stakeholder q {(1,1)>(0,0)}"
+    )
+    doc = dsl.parse(text)
+    assert [d.span for d in doc.variables] == [(2, 6), (2, 14)]
+    assert [b.span for b in doc.stakeholders] == [(5, 1), (9, 3)]
+    spans = [s.span for b in doc.stakeholders for s in b.statements]
+    assert spans == [(5, 17), (6, 3), (8, 1), (9, 18)]
+
+
 def test_parse_statement():
     doc = dsl.parse(EXAMPLE)
     node = dsl.parse_statement("(0,0,0) >= (5,5,5)", doc.variables)

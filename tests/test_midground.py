@@ -26,7 +26,14 @@ from concord.midground import (
     lex_candidates,
 )
 from concord.oracle import brute_mgs, brute_p5
-from concord.reasoner import Limits, Reasoner, classify, equivalent, is_consistent
+from concord.reasoner import (
+    Limits,
+    Reasoner,
+    classify,
+    entails,
+    equivalent,
+    is_consistent,
+)
 from concord.results import FAIL, NOT_CHECKED, PASS
 from concord.gadgets import nonexistence_fixture, nonuniqueness_fixture
 from conftest import random_profile, stmt
@@ -477,6 +484,38 @@ def test_postulates_p4_offender_for_unanchored_statement():
     report = check_postulates((loose,), profile)
     assert report.p4.verdict == FAIL
     assert loose in report.p4.offenders
+
+
+def test_p3_p4_offenders_are_every_failing_member_in_order():
+    """P3 and P4 are asked once per equivalence class, yet the offenders are
+    exactly the members that fail when each is asked on its own."""
+    rng = random.Random(31)
+    settings = [("hier", Combiner(kind)) for kind in ("sum", "max", "min", "product")]
+    settings += [("hier", Combiner.tie_over((0, 1))), ("lex", SUM)]
+    lang = full_language(SP2)
+    failing = shared = 0
+    for i in range(36):
+        mc, c = settings[i % len(settings)]
+        try:
+            profile = random_profile(rng, SP2, c, mc, 2, 2)
+        except RuntimeError:
+            continue
+        union = profile.union_statements()
+        cand = rng.sample(lang, rng.randint(2, 12))
+        report = check_postulates(cand, profile)
+        p3 = tuple(
+            s for s in cand
+            if not all(is_consistent((s, u), SP2, c, mc).consistent for u in union)
+        )
+        p4 = tuple(
+            s for s in cand
+            if not any(entails(sh.statements, s, SP2, c, mc) for sh in profile.stakeholders)
+        )
+        assert report.p3.offenders == p3 and report.p4.offenders == p4, (profile, cand)
+        failing += len(p3) + len(p4)
+        r = Reasoner(SP2, c, mc)
+        shared += len(cand) - len({r.equivalence_key(s) for s in cand})
+    assert failing > 0 and shared > 0, (failing, shared)
 
 
 def test_p5_matches_oracle():
