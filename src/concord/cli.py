@@ -226,12 +226,15 @@ def _cmd_mg_exists(args: argparse.Namespace) -> int:
 def _cmd_mg_construct(args: argparse.Namespace) -> int:
     doc, profile = _load_profile(args)
     limits = _load_limits(args)
-    res = midground.construct_mgs(profile, args.language, limits)
+    # One reasoner for the request: the grounds' postulate checks reuse the
+    # rows the construction compiled.
+    r = Reasoner(profile.space, profile.combiner, profile.model_class, limits)
+    res = midground._construct_mgs(profile, args.language, r)
     postulates = None
     if args.verify:
         postulates = {}
         for i, ground in enumerate(res.grounds):
-            report = midground.check_postulates(ground, profile, check_p5=True, limits=limits)
+            report = midground._check_postulates(ground, profile, True, r)
             postulates["ground-%d" % i] = {
                 "p1": report.p1.verdict,
                 "p2": report.p2.verdict,

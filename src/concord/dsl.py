@@ -36,6 +36,7 @@ forward from the last position asked for.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from operator import le
 
@@ -125,6 +126,8 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+_INT_RE = re.compile(r"-?\d+")
 
 # A token is (kind, text, offset): kind is "tuple", "nl", "dots", "ge", "int",
 # "name", "sym", "bad" or "eof"; offset indexes the document text.
@@ -227,7 +230,17 @@ class _Parser:
         self.advance()
 
     def parse_int(self) -> int:
-        return int(self.expect("int", what="an integer")[1])
+        return self.int_value(self.expect("int", what="an integer"))
+
+    def int_value(self, tok: _Token) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than int() converts
+            raise self.error(
+                "bad-int", tok,
+                "integer has %d digits, more than the %d allowed"
+                % (len(tok[1].lstrip("-")), sys.get_int_max_str_digits()),
+            ) from None
 
     # header ---------------------------------------------------------------
 
@@ -294,7 +307,13 @@ class _Parser:
             self.pos += 1
             # The token is "(" ints ")" with only whitespace around the
             # commas, and int() skips that whitespace.
-            values = tuple(map(int, open_tok[1][1:-1].split(",")))
+            try:
+                values = tuple(map(int, open_tok[1][1:-1].split(",")))
+            except ValueError:
+                # An element too long for int(): report it where it stands.
+                for m in _INT_RE.finditer(open_tok[1]):
+                    self.int_value(("int", m.group(), open_tok[2] + m.start()))
+                raise
         else:
             # A tuple the scanner did not take whole: read it element by
             # element, so a malformed one is reported at its first bad part.

@@ -17,15 +17,15 @@ equivalence classes; a maximal subset always takes whole classes.
 
 Each entry point asks all its questions of one ``Reasoner``, made for the
 call, so every statement's hierarchical level row is compiled once per
-request and dies with it.
+request and dies with it. A request that makes several calls (``cli``'s
+``mg-construct --verify``) passes one ``Reasoner`` to the private
+``_construct_mgs`` and ``_check_postulates`` instead.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .domain import (
     Alternative,
@@ -192,7 +192,7 @@ def exists_mg_lex(
 
     When the union is inconsistent, existence reduces to scanning the 2|V|
     candidate statements; both filters have per-variable sign
-    characterizations, so the scan is a handful of array reductions. The
+    characterizations, so the scan is one pass over the union's sign rows. The
     reported stats carry the nominal check counts of the direct procedure:
     2|V|·|union| pairwise consistency checks and 2|V|·n entailment checks.
     """
@@ -200,72 +200,68 @@ def exists_mg_lex(
         raise DomainMismatchError("exists_mg_lex needs a lexicographic profile")
     if not profile.stakeholders:
         raise TrivialStakeholderError("profile has no stakeholders")
-    sp, c = profile.space, profile.combiner
-    nvars = sp.size
+    nvars = profile.space.size
     union = profile.union_statements()
-    signs, strict = sign_matrix(union, c)
+    signs, _ = sign_matrix(union, profile.combiner)
+    lanes = signs.lanes
     union_index = {s: i for i, s in enumerate(union)}
-    # Precondition and union checks run on row slices of the one sign matrix
-    # instead of re-deriving per-stakeholder matrices.
-    tautology_row = np.where(
-        strict, (signs > 0).all(axis=1), (signs >= 0).all(axis=1)
-    )
-    stakeholder_rows: list[np.ndarray] = []
+    # Precondition and union checks run on subsets of the one set of sign rows
+    # instead of re-deriving each stakeholder's.
     for sh in profile.stakeholders:
-        rows = np.array(
-            [union_index[s] for s in dedupe_statements(sh.statements)], dtype=np.intp
-        )
-        stakeholder_rows.append(rows)
-        if _lex_consistent_from_signs(signs[rows], strict[rows], nvars)[0] is None:
+        own = signs.take([union_index[s] for s in dedupe_statements(sh.statements)])
+        if _lex_consistent_from_signs(own)[0] is None:
             raise TrivialStakeholderError(f"stakeholder {sh.name!r} is inconsistent")
-        if bool(tautology_row[rows].all()):
+        if all(win == lanes if strict else not lose for win, lose, strict in own.rows):
             raise TrivialStakeholderError(
                 f"stakeholder {sh.name!r} asserts nothing falsifiable"
             )
-    if _lex_consistent_from_signs(signs, strict, nvars)[0] is not None:
+    if _lex_consistent_from_signs(signs)[0] is not None:
         return ExistenceResult(
             True, via_union=True, stats={"pairwise_checks": 0, "entailment_checks": 0}
         )
-    neg = signs < 0
-    pos = signs > 0
-    zero = signs == 0
-    negsum = neg.sum(axis=1, keepdims=True)
-    possum = pos.sum(axis=1, keepdims=True)
-    zerosum = zero.sum(axis=1, keepdims=True)
-    st = strict[:, None]
-    # Weak candidate for v clashes with a weak union statement that loses
-    # everywhere outside v, and with a strict one whose only winning spot can
-    # be v while it offers no ties to hide behind.
-    weak_clash = (~st & (negsum - neg == nvars - 1)) | (
-        st & (possum - pos == 0) & ((possum == 0) | (zerosum == 0))
-    )
-    # Strict candidate for v clashes with a weak union statement that loses
-    # everywhere outside v without winning at v, and with any strict union
-    # statement that wins nowhere.
-    strict_clash = (~st & (negsum - neg == nvars - 1) & ~pos) | (
-        st & (possum == 0)
-    )
-    ok_weak = ~weak_clash.any(axis=0)
-    ok_strict = ~strict_clash.any(axis=0)
-    # Entailment by one stakeholder: the weak candidate for v follows from any
-    # statement losing at v; the strict one also from a strict statement that
-    # ties at v.
-    ent_weak = np.zeros(nvars, dtype=bool)
-    ent_strict = np.zeros(nvars, dtype=bool)
-    for rows in stakeholder_rows:
-        ent_weak |= neg[rows].any(axis=0)
-        ent_strict |= (neg[rows] | (zero[rows] & st[rows])).any(axis=0)
-    ok_weak &= ent_weak
-    ok_strict &= ent_strict
+    # The variables whose weak or strict candidate clashes with some union
+    # statement (P3), and those where some stakeholder entails it (P4), as
+    # lane masks. Every union statement belongs to a stakeholder, so entailment
+    # by one stakeholder is entailment by some union statement.
+    weak_clash = strict_clash = weak_entailed = strict_entailed = 0
+    for win, lose, strict in signs.rows:
+        # The weak candidate for v follows from any statement losing at v; the
+        # strict one also from a strict statement that ties at v.
+        weak_entailed |= lose
+        if strict:
+            ties = lanes & ~(win | lose)
+            strict_entailed |= lose | ties
+            # A strict statement that wins nowhere clashes with both
+            # candidates everywhere; one whose only win is at v and that has
+            # no ties to hide behind clashes with v's weak candidate.
+            if not win:
+                weak_clash |= lanes
+                strict_clash |= lanes
+            elif not ties and win.bit_count() == 1:
+                weak_clash |= win
+        else:
+            strict_entailed |= lose
+            # A weak statement losing everywhere outside v clashes with v's
+            # weak candidate, and with its strict one if it ties at v.
+            losses = lose.bit_count()
+            if losses == nvars:
+                weak_clash |= lanes
+                strict_clash |= lanes
+            elif losses == nvars - 1:
+                weak_clash |= lanes & ~lose
+                strict_clash |= lanes & ~(lose | win)
     stats = {
         "pairwise_checks": 2 * nvars * len(union),
         "entailment_checks": 2 * nvars * len(profile.stakeholders),
     }
     # The first surviving candidate in lex_candidates order is the witness.
-    for strict_candidate, ok in ((False, ok_weak), (True, ok_strict)):
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            witness = _lex_candidate(nvars, int(hits[0]), strict_candidate)
+    for strict_candidate, ok in (
+        (False, weak_entailed & ~weak_clash),
+        (True, strict_entailed & ~strict_clash),
+    ):
+        if ok:
+            variable = signs.variable(ok & -ok)
+            witness = _lex_candidate(nvars, variable, strict_candidate)
             return ExistenceResult(True, witness=witness, stats=stats)
     return ExistenceResult(False, stats=stats)
 
@@ -347,6 +343,11 @@ def construct_mgs(
     deduplication happens beyond dropping identical subsets.
     """
     r = Reasoner(profile.space, profile.combiner, profile.model_class, limits)
+    return _construct_mgs(profile, language, r)
+
+
+def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
+    """``construct_mgs``, asking every question of ``r``."""
     _require_nontrivial(profile, r)
     union = profile.union_statements()
     if r.is_consistent(union).consistent:
@@ -426,6 +427,13 @@ def check_postulates(
     but some member fails P3 or P4, or when the scan is out of capacity.
     """
     r = Reasoner(profile.space, profile.combiner, profile.model_class, limits)
+    return _check_postulates(candidate, profile, check_p5, r)
+
+
+def _check_postulates(
+    candidate: Sequence[Statement], profile: Profile, check_p5: bool, r: Reasoner
+) -> PostulateReport:
+    """``check_postulates``, asking every question of ``r``."""
     _require_nontrivial(profile, r)
     cand = dedupe_statements(candidate)
     union = profile.union_statements()

@@ -11,6 +11,20 @@ overlap, as ``models`` and ``oracle`` allow; ``is_consistent_hier`` gives
 the argument. It reads each statement's win and lose levels from rows that a
 ``Reasoner`` compiles once per statement, and scans all 2^n - 1 levels, so it
 stays exponential in the number of variables.
+
+Both run one kernel, ``_greedy``, on rows of two Python ints per statement:
+the steps at which its left side wins and those at which it loses, one bit
+per step, lowest bit first. Hierarchical rows have a bit per canonical level.
+Lexicographic rows have a lane of bits per variable: each side of a
+statement is packed into one int whose lane ``v`` (bits ``v * w`` up to
+``v * w + w - 1``, for a lane width ``w`` of whole bytes) holds the side's
+value at variable ``v``, or that value's rank (``sign_matrix``). With ``top``
+the top bit of every lane, the lanes where side ``a`` beats side ``b`` are
+``top ^ (((b | top) - a) & top)``, all variables in four operations. This
+needs every packed value below its lane's top bit: then lane ``v`` of
+``(b | top) - a`` is ``2^(w-1) + b_v - a_v``, which is positive, so no lane
+borrows from the next, and its top bit is set exactly where ``a_v <= b_v``.
+A statement's signs are the top bits of its win and lose lanes.
 """
 
 from __future__ import annotations
@@ -21,8 +35,6 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .domain import (
     Alternative,
     Combiner,
@@ -32,7 +44,7 @@ from .domain import (
     complement,
     dedupe_statements,
 )
-from .errors import CapacityError, IndeterminateError
+from .errors import CapacityError, DomainMismatchError, IndeterminateError
 from .models import HierarchicalModel, LexicographicModel, satisfies_set
 from .results import ConsistencyResult, SearchStats
 
@@ -94,91 +106,207 @@ def _triviality(signs: Sequence[int], strict: bool) -> Triviality:
     return Triviality.NON_TRIVIAL
 
 
+@dataclass(frozen=True, slots=True)
+class SignRows:
+    """Per-variable comparison signs of a statement sequence, as bit lanes.
+
+    ``rows[i]`` is statement ``i``'s ``(win, lose, strict)``: ``win`` has the
+    top bit of lane ``v`` set where the left side beats the right at variable
+    ``v``, ``lose`` where it is beaten. Lanes are ``width`` bits wide; lane
+    ``v`` holds bits ``v * width`` up to ``v * width + width - 1``.
+    """
+
+    rows: list[tuple[int, int, bool]]
+    nvars: int
+    width: int
+
+    @property
+    def size(self) -> int:
+        """Statements x variables: the signs the rows hold."""
+        return len(self.rows) * self.nvars
+
+    @property
+    def lanes(self) -> int:
+        """Every lane's top bit."""
+        return _top_bits(self.nvars, self.width)
+
+    def bit(self, v: int) -> int:
+        """Variable ``v``'s lane bit."""
+        return 1 << (v + 1) * self.width - 1
+
+    def variable(self, bit: int) -> int:
+        """The variable whose lane bit ``bit`` is."""
+        return bit.bit_length() // self.width - 1
+
+    def take(self, indices: Sequence[int]) -> "SignRows":
+        """The rows at ``indices``, in that order."""
+        rows = self.rows
+        return SignRows([rows[i] for i in indices], self.nvars, self.width)
+
+
+def _top_bits(nvars: int, width: int) -> int:
+    """Top bit of each of ``nvars`` lanes of ``width`` bits."""
+    return ((1 << nvars * width) - 1) // ((1 << width) - 1) << width - 1
+
+
 def sign_matrix(
     statements: Sequence[Statement], c: Combiner
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-variable comparison signs (rows = statements) plus strictness flags."""
-    if c.rank is None:
-        left = np.array([s.left.values for s in statements], dtype=np.int64)
-        right = np.array([s.right.values for s in statements], dtype=np.int64)
-        # In place: two fewer matrix-sized temporaries. With four, a
-        # 1,000-statement call freed enough for the C allocator to hand the
-        # memory back and fault it in again on the next call.
-        np.subtract(left, right, out=left)
-        signs = np.sign(left, out=left).astype(np.int8)
-    else:
-        signs = np.array([c.signs(s) for s in statements], dtype=np.int8)
-    strict = np.array([s.strict for s in statements], dtype=bool)
-    return signs, strict
+) -> tuple[SignRows, tuple[bool, ...]]:
+    """Per-variable comparison signs as bit lanes, plus strictness flags.
 
-
-def _lex_witness_ok(
-    signs: np.ndarray, strict: np.ndarray, variables: Sequence[int]
-) -> bool:
-    if signs.shape[0] == 0:
-        return True
-    sub = signs[:, list(variables)]
-    nz = sub != 0
-    decided = nz.any(axis=1)
-    first = np.argmax(nz, axis=1)
-    val = sub[np.arange(sub.shape[0]), first]
-    ok = np.where(decided, val > 0, ~strict)
-    return bool(ok.all())
-
-
-def _lex_greedy(
-    signs: np.ndarray, nvars: int
-) -> tuple[list[int], np.ndarray, int, int]:
-    """Shared greedy elimination over a sign matrix.
-
-    Returns the chosen variable prefix, the statements still undecided when
-    the greedy stalls, and the node / candidate counters.
+    Each side is packed into one int, a lane per variable (module docstring).
+    Built-in combiners pack the values themselves into 8-bit lanes when they
+    all lie in 0..127. Otherwise each value is replaced by its rank: its
+    position in a table combiner's universe, or among the distinct values
+    present; ranks keep the value order, so the signs are the same.
     """
-    active = np.ones(signs.shape[0], dtype=bool)
-    avail = np.ones(nvars, dtype=bool)
-    chosen: list[int] = []
-    nodes = 0
-    tried = 0
-    while active.any():
-        sub = signs[active]
-        losing = (sub < 0).any(axis=0)
-        winning = (sub > 0).any(axis=0)
-        prog = avail & ~losing & winning
-        tried += nvars
-        hits = np.flatnonzero(prog)
-        if hits.size == 0:
-            break
-        v = int(hits[0])
-        chosen.append(v)
-        avail[v] = False
-        active &= signs[:, v] == 0
-        nodes += 1
-    return chosen, active, nodes, tried
+    nvars = len(statements[0].left.values) if statements else 0
+    for s in statements:
+        if len(s.left.values) != nvars or len(s.right.values) != nvars:
+            raise DomainMismatchError(f"statement {s} does not have {nvars} values a side")
+    packed, width = _pack(statements, nvars, c)
+    top = _top_bits(nvars, width)
+    rows = [
+        (top ^ (((b | top) - a) & top), top ^ (((a | top) - b) & top), strict)
+        for a, b, strict in packed
+    ]
+    return SignRows(rows, nvars, width), tuple(s.strict for s in statements)
+
+
+def _pack(
+    statements: Sequence[Statement], nvars: int, c: Combiner
+) -> tuple[list[tuple[int, int, bool]], int]:
+    """Each statement's sides as ints of ``nvars`` lanes, its strictness, and
+    the lane width (``sign_matrix``)."""
+    if c.rank is None:
+        try:
+            packed = [
+                (
+                    int.from_bytes(bytes(s.left.values), "little"),
+                    int.from_bytes(bytes(s.right.values), "little"),
+                    s.strict,
+                )
+                for s in statements
+            ]
+        except ValueError:  # a value outside 0..255
+            pass
+        else:
+            used = 0
+            for a, b, _ in packed:
+                used |= a | b
+            if not used & _top_bits(nvars, 8):
+                return packed, 8
+    rank = c.rank
+    if rank is None:
+        present = {v for s in statements for v in s.left.values + s.right.values}
+        rank = {v: i for i, v in enumerate(sorted(present))}
+    # Whole bytes per lane, enough to keep every rank below the top bit.
+    nbytes = (max(len(rank) - 1, 0).bit_length() + 8) // 8
+
+    def pack(alt: Alternative) -> int:
+        try:
+            ranks = [rank[v] for v in alt.values]
+        except KeyError as exc:
+            raise DomainMismatchError(
+                f"value {exc.args[0]} outside combiner universe"
+            ) from None
+        return int.from_bytes(
+            b"".join(r.to_bytes(nbytes, "little") for r in ranks), "little"
+        )
+
+    return [(pack(s.left), pack(s.right), s.strict) for s in statements], 8 * nbytes
+
+
+def _lex_witness_ok(signs: SignRows, variables: Sequence[int]) -> bool:
+    """Whether the lexicographic model over ``variables`` satisfies every row:
+    the first of them at which a row is not tied must be a win, and a row
+    tied at all of them must be weak."""
+    pending = signs.rows
+    for v in variables:
+        bit = signs.bit(v)
+        if any(lose & bit for _, lose, _ in pending):
+            return False
+        pending = [r for r in pending if not (r[0] | r[1]) & bit]
+    return not any(strict for _, _, strict in pending)
+
+
+def _greedy(
+    rows: list[tuple[int, int, bool]],
+    settle_weak: bool,
+    deadline: float | None = None,
+) -> tuple[list[int], list[tuple[int, int, bool]], bool]:
+    """The greedy both engines run, on ``(win, lose, strict)`` rows whose bits
+    are the steps a model can take, lowest bit first (a variable's lane bit,
+    or a canonical level).
+
+    While a strict row is pending (any row, with ``settle_weak``), append the
+    lowest bit at which some pending row wins and none loses, and keep only
+    the rows that tie there. Returns the bits taken, the rows still pending,
+    and whether the greedy stalled: found no such bit while it had a row to
+    settle.
+    """
+    path: list[int] = []
+    pending = rows
+    while pending if settle_weak else any(r[2] for r in pending):
+        if deadline is not None and time.monotonic() > deadline:
+            raise IndeterminateError("hierarchical search timed out")
+        win = lose = 0
+        for w, l, _ in pending:
+            win |= w
+            lose |= l
+        eligible = win & ~lose
+        if not eligible:
+            return path, pending, True
+        step = eligible & -eligible
+        path.append(step)
+        pending = [r for r in pending if not (r[0] | r[1]) & step]
+    return path, pending, False
+
+
+def _lowest_safe(rows: list[tuple[int, int, bool]], everything: int) -> int:
+    """The lowest bit of ``everything`` at which no row loses, or 0."""
+    lose = 0
+    for _, l, _ in rows:
+        lose |= l
+    safe = everything & ~lose
+    return safe & -safe
+
+
+def _lex_greedy(signs: SignRows) -> tuple[list[int], list, int, int]:
+    """The greedy over lexicographic rows, run until every row is decided or
+    it stalls.
+
+    Returns the chosen variable prefix, the rows still undecided when the
+    greedy stalls, and the node / candidate counters.
+    """
+    path, pending, stalled = _greedy(signs.rows, True)
+    chosen = [signs.variable(bit) for bit in path]
+    return chosen, pending, len(path), signs.nvars * (len(path) + stalled)
 
 
 def _lex_consistent_from_signs(
-    signs: np.ndarray, strict: np.ndarray, nvars: int
+    signs: SignRows,
 ) -> tuple[tuple[int, ...] | None, int, int]:
-    """The lexicographic verdict over a sign matrix: the greedy plus its stall rule.
+    """The lexicographic verdict over sign rows: the greedy plus its stall rule.
 
     Returns the witness variables (``None`` when inconsistent) and the
     greedy's node / candidate counters. When the greedy stalls with only
     non-strict statements pending and nothing chosen yet, a single variable at
     which nothing loses still witnesses consistency (models cannot be empty);
     with something chosen, the pending statements tie on every chosen variable
-    and the prefix itself is a witness.
+    and the prefix itself is a witness. With no rows at all, variable 0 is.
     """
-    chosen, active, nodes, tried = _lex_greedy(signs, nvars)
-    if bool(strict[active].any()):
+    chosen, pending, nodes, tried = _lex_greedy(signs)
+    if any(strict for _, _, strict in pending):
         return None, nodes, tried
     if chosen:
         return tuple(chosen), nodes, tried
-    if not bool(active.any()):
+    if not pending:
         return (0,), nodes, tried
-    safe = np.flatnonzero(~(signs[active] < 0).any(axis=0))
-    if safe.size == 0:
+    safe = _lowest_safe(pending, signs.lanes)
+    if not safe:
         return None, nodes, tried
-    return (int(safe[0]),), nodes, tried
+    return (signs.variable(safe),), nodes, tried
 
 
 def is_consistent_lex(
@@ -191,12 +319,12 @@ def is_consistent_lex(
     stmts = dedupe_statements(statements)
     if not stmts:
         return ConsistencyResult(True, LexicographicModel((0,)))
-    signs, strict = sign_matrix(stmts, c)
-    variables, nodes, tried = _lex_consistent_from_signs(signs, strict, space.size)
+    signs, _ = sign_matrix(stmts, c)
+    variables, nodes, tried = _lex_consistent_from_signs(signs)
     stats = SearchStats(nodes=nodes, levels_tried=tried)
     if variables is None:
         return ConsistencyResult(False, None, stats)
-    if not _lex_witness_ok(signs, strict, variables):
+    if not _lex_witness_ok(signs, variables):
         raise RuntimeError("internal error: lex witness failed re-check")
     return ConsistencyResult(True, LexicographicModel(variables), stats)
 
@@ -342,38 +470,24 @@ class Reasoner:
         if self.limits.timeout_ms is not None:
             deadline = time.monotonic() + self.limits.timeout_ms / 1000.0
         rows = [self.row(s) + (s.strict,) for s in stmts]
-        pending = rows
-        path: list[int] = []
-        nodes = 0
-        while any(strict for _, _, strict in pending):
-            nodes += 1
-            if deadline is not None and time.monotonic() > deadline:
-                raise IndeterminateError("hierarchical search timed out")
-            win = lose = 0
-            for w, l, _ in pending:
-                win |= w
-                lose |= l
-            eligible = win & ~lose
-            if not eligible:
-                return ConsistencyResult(False, None, SearchStats(nodes, len(path)))
-            level = eligible & -eligible
-            path.append(level.bit_length() - 1)
-            pending = [r for r in pending if not (r[0] | r[1]) & level]
-        stats = SearchStats(nodes, len(path))
+        path, _, stalled = _greedy(rows, False, deadline)
+        if stalled:
+            return ConsistencyResult(
+                False, None, SearchStats(len(path) + 1, len(path))
+            )
+        stats = SearchStats(len(path), len(path))
         if not path:
             # Only weak statements: a model needs one level, and any level at
             # which nothing loses will do.
-            lose = 0
-            for _, l, _ in rows:
-                lose |= l
-            safe = self._all_levels & ~lose
+            safe = _lowest_safe(rows, self._all_levels)
             if not safe:
                 return ConsistencyResult(False, None, stats)
-            path.append((safe & -safe).bit_length() - 1)
+            path.append(safe)
+        levels = self.levels
         witness = HierarchicalModel(
             tuple(
-                frozenset(v for v in range(n) if self.levels[j] >> v & 1)
-                for j in path
+                frozenset(v for v in range(n) if levels[bit.bit_length() - 1] >> v & 1)
+                for bit in path
             )
         )
         if not satisfies_set(witness, stmts, self.c):

@@ -47,6 +47,14 @@ def stmt(left, right, strict=True) -> Statement:
     return Statement(Alternative(tuple(left)), Alternative(tuple(right)), strict)
 
 
+def lane_signs(signs, i: int) -> tuple[int, ...]:
+    """Statement ``i``'s per-variable signs, read off the top bit of each
+    lane of its row in ``reasoner.sign_matrix``'s result."""
+    win, lose, _ = signs.rows[i]
+    tops = [(v + 1) * signs.width - 1 for v in range(signs.nvars)]
+    return tuple((win >> t & 1) - (lose >> t & 1) for t in tops)
+
+
 def random_statement(rng: random.Random, space: VariableSpace) -> Statement:
     left = tuple(rng.choice(dom) for dom in space.domains)
     right = tuple(rng.choice(dom) for dom in space.domains)

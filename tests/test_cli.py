@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import concord
 from concord import dsl
 from concord.cli import _build_parser, main
 from concord.gadgets import nonexistence_fixture, nonuniqueness_fixture
@@ -24,6 +29,21 @@ stakeholder a {
 
 stakeholder b {
   (0,1,0) > (1,0,0)
+}
+"""
+
+
+HIER_TEXT = """\
+vars x:0..1, y:0..1
+combiner max
+models hierarchical
+
+stakeholder a {
+  (1,0) > (0,1)
+}
+
+stakeholder b {
+  (0,1) > (1,0)
 }
 """
 
@@ -327,3 +347,36 @@ def test_golden_check_json(name, data_dir, capsys):
     )
     assert code == 0
     assert out == (data_dir / ("%s.check.json" % name)).read_text()
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+_WITHOUT_NUMPY = """\
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import concord
+from concord.cli import main
+for path in sys.argv[1:]:
+    for argv in (["mg-exists", path], ["mg-construct", path, "--verify"]):
+        code = main(argv + ["--json"])
+        assert code == 0, (argv, code)
+"""
+
+
+def test_runs_without_numpy(tmp_path):
+    """Importing concord and answering lexicographic and hierarchical
+    requests never imports numpy."""
+    paths = []
+    for name, text in (("lex.pref", LEX_TEXT), ("hier.pref", HIER_TEXT)):
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    env = dict(os.environ, PYTHONPATH=str(Path(concord.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *paths],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [o["command"] for o in outs] == ["mg-exists", "mg-construct"] * 2
+    assert [o["verdict"] for o in outs] == ["exists"] * 4

@@ -175,6 +175,12 @@ _HEAD = "vars x:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n"
         (_HEAD + "stakeholder p {(0,\x0b1) > (1,0)}", "unexpected character '\\x0b'", 4, 19),
         (_HEAD + "stakeholder p {(0,1) > (1,", "expected an integer, got end of input", 4, 27),
         (_HEAD + "stakeholder p {(0,1) > (1,0)", "expected }, got end of input", 4, 29),
+        # integers longer than int() converts, in a whole tuple and in a range
+        (_HEAD + "stakeholder p {(0,1) > (1,\n " + "9" * 5000 + ")}",
+         "integer has 5000 digits, more than the 4300 allowed", 5, 2),
+        ("vars x:0.." + "9" * 5000 + ", y:0..1\ncombiner sum\nmodels hierarchical\n"
+         "stakeholder p {(0,1)>(1,0)}",
+         "integer has 5000 digits, more than the 4300 allowed", 1, 11),
     ],
 )
 def test_error_text_and_position(text, message, line, col):

@@ -9,20 +9,22 @@ from hypothesis import strategies as st
 
 from concord.domain import (
     Combiner,
+    Profile,
+    Stakeholder,
     Statement,
     Triviality,
     VariableSpace,
     binarize,
     complement,
 )
-from concord.errors import CapacityError, IndeterminateError
+from concord.errors import CapacityError, DomainMismatchError, IndeterminateError
 from concord.models import (
     HierarchicalModel,
     LexicographicModel,
     satisfies,
     satisfies_set,
 )
-from concord.midground import full_language
+from concord.midground import exists_mg_lex, full_language
 from concord.oracle import brute_consistent, brute_tautology, enumerate_lex_models
 from concord.reasoner import (
     DEFAULT_LIMITS,
@@ -38,7 +40,7 @@ from concord.reasoner import (
     sign_matrix,
 )
 from concord.gadgets import nonuniqueness_fixture
-from conftest import alt, random_statement, stmt
+from conftest import alt, lane_signs, random_statement, stmt
 
 AND = Combiner("and")
 SUM = Combiner("sum")
@@ -181,7 +183,21 @@ def test_lex_nonstrict_single_tie_variable():
     assert res.witness == LexicographicModel((1,))
 
 
-def test_lex_random_against_enumeration():
+@pytest.mark.parametrize(
+    "domain,combiner",
+    [
+        (lambda rng: tuple(range(rng.randint(2, 3))), SUM),
+        (lambda rng: tuple(range(-3, 3)), SUM),
+        # more than 128 values, and values either side of 127/128: the sign
+        # rows pack ranks instead of values
+        (lambda rng: tuple(range(294)), SUM),
+        (lambda rng: tuple(range(120, 136)), SUM),
+        # a table combiner over 295 values: ranks in 16-bit lanes
+        (lambda rng: tuple(range(294)), Combiner.tie_over(range(294))),
+    ],
+    ids=["0..2", "-3..2", "0..293", "120..135", "tie_over-0..293"],
+)
+def test_lex_random_against_enumeration(domain, combiner):
     """Greedy verdict equals brute force over all lex models."""
     rng = random.Random(20260822)
     checked = 0
@@ -189,43 +205,94 @@ def test_lex_random_against_enumeration():
         n = rng.randint(1, 5)
         sp = VariableSpace(
             tuple("v%d" % i for i in range(n)),
-            tuple(tuple(range(rng.randint(2, 3))) for _ in range(n)),
+            tuple(domain(rng) for _ in range(n)),
         )
         k = rng.randint(1, 6)
         statements = tuple(random_statement(rng, sp) for _ in range(k))
-        res = is_consistent_lex(statements, sp, SUM)
+        res = is_consistent_lex(statements, sp, combiner)
         brute = any(
-            satisfies_set(m, statements, SUM) for m in enumerate_lex_models(sp)
+            satisfies_set(m, statements, combiner) for m in enumerate_lex_models(sp)
         )
         assert res.consistent == brute, (sp, statements)
         if res.consistent:
-            assert satisfies_set(res.witness, statements, SUM)
+            assert satisfies_set(res.witness, statements, combiner)
         checked += 1
     assert checked == 500
 
 
+UNSORTED = Combiner("table", table=((7, 7, 7), (7, 2, 7), (2, 7, 7), (2, 2, 2)),
+                    universe=(7, 2))
+
+
 def test_sign_matrix_table_ranks():
-    c = Combiner("table", table=((7, 7, 7), (7, 2, 7), (2, 7, 7), (2, 2, 2)),
-                 universe=(7, 2))
-    signs, strict = sign_matrix((stmt((2,), (7,)), stmt((7,), (2,), strict=False)), c)
-    assert signs.tolist() == [[1], [-1]]
-    assert strict.tolist() == [True, False]
+    signs, strict = sign_matrix(
+        (stmt((2,), (7,)), stmt((7,), (2,), strict=False)), UNSORTED
+    )
+    assert [lane_signs(signs, i) for i in range(2)] == [(1,), (-1,)]
+    assert strict == (True, False)
 
 
 def test_signs_binarize_and_sign_matrix_agree_on_unsorted_universe():
-    c = Combiner("table", table=((7, 7, 7), (7, 2, 7), (2, 7, 7), (2, 2, 2)),
-                 universe=(7, 2))
+    c = UNSORTED
     sides = list(itertools.product((7, 2), repeat=3))
     statements = [stmt(a, b, strict=bool(i % 2))
                   for i, (a, b) in enumerate(itertools.product(sides, sides))]
     matrix, _ = sign_matrix(statements, c)
-    for s, row in zip(statements, matrix.tolist()):
+    for i, s in enumerate(statements):
+        row = list(lane_signs(matrix, i))
         signs = c.signs(s)
         flat = binarize(s, c)
         assert list(signs) == row
         assert [x - y for x, y in zip(flat.left.values, flat.right.values)] == row
     # 2 ranks above 7, so the all-2 side beats the all-7 side everywhere
     assert c.signs(stmt((2, 2, 2), (7, 7, 7))) == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "values,combiner,width",
+    [
+        (range(2), SUM, 8),
+        (range(128), SUM, 8),
+        (range(-3, 3), SUM, 8),
+        (range(120, 136), SUM, 8),
+        (range(300), SUM, 16),
+        ((-(10**30), 0, 10**30), Combiner("max"), 8),
+        (range(300), Combiner.tie_over(range(300)), 16),
+        ((7, 2), UNSORTED, 8),
+    ],
+    ids=["0..1", "0..127", "-3..2", "120..135", "300-values", "huge", "tie_over-300",
+         "unsorted-table"],
+)
+def test_sign_rows_read_back_as_combiner_signs(values, combiner, width):
+    rng = random.Random(11)
+    values = list(values)
+    # Every value appears, so the ranks span them all.
+    lefts = [tuple(values[(i + j) % len(values)] for j in range(4))
+             for i in range(len(values))]
+    statements = [stmt(a, tuple(rng.choice(values) for _ in a), strict=rng.random() < 0.5)
+                  for a in lefts]
+    signs, strict = sign_matrix(statements, combiner)
+    assert signs.width == width and signs.size == 4 * len(statements)
+    assert strict == tuple(s.strict for s in statements)
+    for i, s in enumerate(statements):
+        assert lane_signs(signs, i) == combiner.signs(s), s
+
+
+def test_sign_rows_refuse_values_they_cannot_place():
+    # 9 is in the space but outside the combiner's universe
+    sp = VariableSpace(("x", "y"), ((2, 7, 9), (2, 7)))
+    bad = (stmt((2, 7), (7, 2)), stmt((9, 2), (7, 7)))
+    for call in (lambda: sign_matrix(bad, UNSORTED),
+                 lambda: is_consistent_lex(bad, sp, UNSORTED),
+                 lambda: UNSORTED.signs(bad[1])):
+        with pytest.raises(DomainMismatchError, match="outside combiner universe"):
+            call()
+    profile = Profile(sp, UNSORTED, "lex", (Stakeholder("a", bad),))
+    with pytest.raises(DomainMismatchError, match="outside combiner universe"):
+        exists_mg_lex(profile)
+    # sides of another length than the first statement's
+    with pytest.raises(DomainMismatchError, match="values a side"):
+        sign_matrix((stmt((0, 1), (1, 0)), stmt((0, 1, 1), (1, 0))), SUM)
 
 
 # ---------------------------------------------------------------------------

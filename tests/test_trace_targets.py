@@ -18,7 +18,7 @@ from concord.reasoner import (
     is_consistent_hier,
     sign_matrix,
 )
-from conftest import stmt
+from conftest import lane_signs, stmt
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,12 +43,14 @@ def test_every_trace_target_resolves():
 
 
 def test_traced_return_shapes():
-    # sign_matrix -> (signs, strict); the tracer counts signs cells.
+    # sign_matrix -> (signs, strict); the tracer counts signs cells,
+    # statements x variables.
     statements = (stmt((1, 0), (0, 1)), stmt((0, 0), (0, 1), strict=False))
     signs, strict = sign_matrix(statements, Combiner("sum"))
-    assert signs.shape == (2, 2) and strict.tolist() == [True, False]
+    assert signs.size == 2 * 2 and strict == (True, False)
+    assert [lane_signs(signs, i) for i in range(2)] == [(1, -1), (0, -1)]
     # _lex_greedy's item 2 is the node count: one variable chosen per node.
-    chosen, _active, nodes, _tried = _lex_greedy(signs, 2)
+    chosen, _pending, nodes, _tried = _lex_greedy(signs)
     assert isinstance(nodes, int) and nodes == len(chosen)
     space = VariableSpace.binary(("x", "y"))
     res = is_consistent_hier(statements, space, Combiner("sum"))
