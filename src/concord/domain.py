@@ -28,12 +28,36 @@ _BUILTIN_OPS: dict[str, Callable[[int, int], int]] = {
 BUILTIN_KINDS = tuple(_BUILTIN_OPS)
 
 
+def _top_bits(nvars: int, width: int) -> int:
+    """Top bit of each of ``nvars`` lanes of ``width`` bits."""
+    return ((1 << nvars * width) - 1) // ((1 << width) - 1) << width - 1
+
+
+def lanes_at_most(a: int, b: int, top: int) -> int:
+    """The top bit of every lane where ``a``'s value is at most ``b``'s.
+
+    ``a`` and ``b`` hold one value per lane, each below its lane's top bit,
+    and ``top`` is every lane's top bit. Lane ``v`` of ``(b | top) - a`` is
+    ``top_v + b_v - a_v``, which is positive, so no lane borrows from the
+    next, and its top bit is set exactly where ``a_v <= b_v``: every lane in
+    two operations (the borrow trick). The lexicographic sign rows
+    (``reasoner.sign_matrix``) and ``VariableSpace.check_alternative`` use it.
+    """
+    return ((b | top) - a) & top
+
+
 @dataclass(frozen=True, slots=True)
 class VariableSpace:
     """An ordered tuple of named variables with finite integer domains."""
 
     variables: tuple[str, ...]
     domains: tuple[tuple[int, ...], ...]
+    # When every domain is a contiguous range inside 0..127: the lowest and
+    # highest values as 8-bit lanes, and every lane's top bit, so that
+    # ``check_alternative`` can test a packed alternative all at once.
+    _lane_bounds: tuple[int, int, int] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if not self.variables:
@@ -51,6 +75,21 @@ class VariableSpace:
                 raise DomainMismatchError(f"variable {name!r} repeats domain values")
             if tuple(sorted(dom)) != dom:
                 raise DomainMismatchError(f"domain of {name!r} must be sorted ascending")
+        if all(
+            isinstance(dom[0], int)
+            and isinstance(dom[-1], int)
+            and 0 <= dom[0]
+            and dom[-1] <= 127
+            and dom == tuple(range(dom[0], dom[-1] + 1))
+            for dom in self.domains
+        ):
+            lo = bytes(dom[0] for dom in self.domains)
+            hi = bytes(dom[-1] for dom in self.domains)
+            object.__setattr__(self, "_lane_bounds", (
+                int.from_bytes(lo, "little"),
+                int.from_bytes(hi, "little"),
+                _top_bits(self.size, 8),
+            ))
 
     @classmethod
     def binary(cls, names: Sequence[str]) -> "VariableSpace":
@@ -67,6 +106,13 @@ class VariableSpace:
             raise DomainMismatchError(f"unknown variable {name!r}") from None
 
     def check_alternative(self, alt: "Alternative") -> None:
+        # Fast path: a packed alternative of the right arity, inside every
+        # contiguous domain, needs two subtractions.
+        a, bounds = alt.lanes, self._lane_bounds
+        if a is not None and bounds is not None and len(alt.values) == self.size:
+            lo, hi, top = bounds
+            if lanes_at_most(a, hi, top) & lanes_at_most(lo, a, top) == top:
+                return
         if len(alt.values) != self.size:
             raise DomainMismatchError(
                 f"alternative has {len(alt.values)} values, space has {self.size}"
@@ -83,15 +129,31 @@ class VariableSpace:
 
 @dataclass(frozen=True, slots=True)
 class Alternative:
-    """A full assignment of one integer value per variable."""
+    """A full assignment of one integer value per variable.
+
+    Alternatives are packed once, here, when they are built: ``lanes`` holds
+    value ``i`` in byte ``i`` (``int.from_bytes(bytes(values), "little")``)
+    when every value lies in 0..127, and is ``None`` otherwise. The
+    lexicographic sign rows (``reasoner.sign_matrix``) and
+    ``VariableSpace.check_alternative`` read it instead of walking the
+    values. It is computed eagerly, so its cost falls where the alternative
+    is made (a document's set-up) and not in the first request.
+    """
 
     values: tuple[int, ...]
     # Alternatives are hashed constantly (statement dedup, model-set keys), so
     # the hash is computed once up front.
     _hash: int = field(init=False, repr=False, compare=False, default=0)
+    lanes: int | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(self.values))
+        try:
+            packed = bytes(self.values)
+        except (ValueError, TypeError):  # a value outside 0..255, or no int
+            return
+        if packed.isascii():
+            object.__setattr__(self, "lanes", int.from_bytes(packed, "little"))
 
     def __hash__(self) -> int:
         return self._hash
@@ -278,13 +340,7 @@ class Profile:
 
 def dedupe_statements(statements: Iterable[Statement]) -> tuple[Statement, ...]:
     """Drop duplicates, keeping first-occurrence order."""
-    seen: set[Statement] = set()
-    out: list[Statement] = []
-    for s in statements:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return tuple(out)
+    return tuple(dict.fromkeys(statements))
 
 
 def binarize(s: Statement, combiner: Combiner | None = None) -> Statement:

@@ -48,7 +48,7 @@ from .domain import (
     Statement,
     VariableSpace,
 )
-from .errors import ParseError
+from .errors import CapacityError, ParseError
 
 __all__ = [
     "Document",
@@ -65,6 +65,13 @@ __all__ = [
 
 COMBINER_WORDS = ("sum", "product", "min", "max", "and", "or", "tie")
 MODEL_WORDS = ("hierarchical", "lexicographic")
+
+# Caps on the domains a document may declare, checked before any is
+# expanded: values over all variables (each becomes a tuple entry of the
+# space), and distinct values under ``combiner tie``, whose table holds the
+# square of that many entries (256 values: about 12 MB and 0.06 s).
+MAX_DOMAIN_VALUES = 100_000
+MAX_TIE_VALUES = 256
 
 _MODEL_TO_KIND = {"hierarchical": "hier", "lexicographic": "lex"}
 _KIND_TO_MODEL = {v: k for k, v in _MODEL_TO_KIND.items()}
@@ -432,7 +439,30 @@ def _build_combiner(word: str, variables: tuple[VarDecl, ...]) -> Combiner:
     return Combiner(word)
 
 
+def _check_domain_sizes(doc: Document) -> None:
+    """Refuse domains over ``MAX_DOMAIN_VALUES`` and tie universes over
+    ``MAX_TIE_VALUES``, from the declared bounds alone."""
+    total = sum(d.hi - d.lo + 1 for d in doc.variables)
+    if total > MAX_DOMAIN_VALUES:
+        raise CapacityError(
+            f"domains declare {total} values, cap is {MAX_DOMAIN_VALUES}"
+        )
+    if doc.combiner == "tie":
+        # Distinct values: the ranges' union, merged in order of lower bound.
+        distinct, reach = 0, None
+        for d in sorted(doc.variables, key=lambda d: d.lo):
+            lo = d.lo if reach is None else max(d.lo, reach + 1)
+            if d.hi >= lo:
+                distinct += d.hi - lo + 1
+                reach = d.hi
+        if distinct > MAX_TIE_VALUES:
+            raise CapacityError(
+                f"tie combiner over {distinct} values, cap is {MAX_TIE_VALUES}"
+            )
+
+
 def to_profile(doc: Document) -> Profile:
+    _check_domain_sizes(doc)
     space = VariableSpace(
         tuple(d.name for d in doc.variables),
         tuple(tuple(range(d.lo, d.hi + 1)) for d in doc.variables),

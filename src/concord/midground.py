@@ -164,12 +164,16 @@ def hier_candidates(
 
 
 def _hier_candidates(r: Reasoner) -> tuple[Statement, ...]:
-    """``hier_candidates`` for the reasoner's space and combiner."""
-    return tuple(
-        s
-        for s in full_language(r.space, r.limits)
-        if r.classify(s) is Triviality.NON_TRIVIAL
-    )
+    """``hier_candidates`` for the reasoner's space and combiner, built once
+    per ``Reasoner`` (its ``memo``), so once per request."""
+    cands = r.memo.get("hier_candidates")
+    if cands is None:
+        cands = r.memo["hier_candidates"] = tuple(
+            s
+            for s in full_language(r.space, r.limits)
+            if r.classify(s) is Triviality.NON_TRIVIAL
+        )
+    return cands
 
 
 def _candidate_pool(

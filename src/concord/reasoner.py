@@ -18,13 +18,14 @@ per step, lowest bit first. Hierarchical rows have a bit per canonical level.
 Lexicographic rows have a lane of bits per variable: each side of a
 statement is packed into one int whose lane ``v`` (bits ``v * w`` up to
 ``v * w + w - 1``, for a lane width ``w`` of whole bytes) holds the side's
-value at variable ``v``, or that value's rank (``sign_matrix``). With ``top``
-the top bit of every lane, the lanes where side ``a`` beats side ``b`` are
-``top ^ (((b | top) - a) & top)``, all variables in four operations. This
-needs every packed value below its lane's top bit: then lane ``v`` of
-``(b | top) - a`` is ``2^(w-1) + b_v - a_v``, which is positive, so no lane
-borrows from the next, and its top bit is set exactly where ``a_v <= b_v``.
-A statement's signs are the top bits of its win and lose lanes.
+value at variable ``v``, or that value's rank (``sign_matrix``). Under a
+built-in combiner, with every value in 0..127, the packing is done once per
+alternative when it is built (``Alternative.lanes``, 8-bit lanes); the
+engine only reads it. With ``top`` the top bit of every lane, the lanes
+where side ``a`` beats side ``b`` are ``top ^ lanes_at_most(a, b, top)``,
+all variables in four operations; ``domain.lanes_at_most`` states why, and
+its precondition that every packed value sits below its lane's top bit. A
+statement's signs are the top bits of its win and lose lanes.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ from .domain import (
     Statement,
     Triviality,
     VariableSpace,
+    _top_bits,
     complement,
     dedupe_statements,
+    lanes_at_most,
 )
 from .errors import CapacityError, DomainMismatchError, IndeterminateError
 from .models import HierarchicalModel, LexicographicModel, satisfies_set
@@ -144,58 +147,40 @@ class SignRows:
         return SignRows([rows[i] for i in indices], self.nvars, self.width)
 
 
-def _top_bits(nvars: int, width: int) -> int:
-    """Top bit of each of ``nvars`` lanes of ``width`` bits."""
-    return ((1 << nvars * width) - 1) // ((1 << width) - 1) << width - 1
-
-
 def sign_matrix(
     statements: Sequence[Statement], c: Combiner
 ) -> tuple[SignRows, tuple[bool, ...]]:
     """Per-variable comparison signs as bit lanes, plus strictness flags.
 
     Each side is packed into one int, a lane per variable (module docstring).
-    Built-in combiners pack the values themselves into 8-bit lanes when they
-    all lie in 0..127. Otherwise each value is replaced by its rank: its
-    position in a table combiner's universe, or among the distinct values
-    present; ranks keep the value order, so the signs are the same.
+    Under a built-in combiner, when every side has its values packed
+    (``Alternative.lanes``: all in 0..127), those 8-bit lanes are read as
+    they are. Otherwise each value is replaced by its rank: its position in a
+    table combiner's universe, or among the distinct values present; ranks
+    keep the value order, so the signs are the same.
     """
     nvars = len(statements[0].left.values) if statements else 0
     for s in statements:
         if len(s.left.values) != nvars or len(s.right.values) != nvars:
             raise DomainMismatchError(f"statement {s} does not have {nvars} values a side")
-    packed, width = _pack(statements, nvars, c)
+    packed, width = _pack(statements, c)
     top = _top_bits(nvars, width)
     rows = [
-        (top ^ (((b | top) - a) & top), top ^ (((a | top) - b) & top), strict)
+        (top ^ lanes_at_most(a, b, top), top ^ lanes_at_most(b, a, top), strict)
         for a, b, strict in packed
     ]
     return SignRows(rows, nvars, width), tuple(s.strict for s in statements)
 
 
 def _pack(
-    statements: Sequence[Statement], nvars: int, c: Combiner
+    statements: Sequence[Statement], c: Combiner
 ) -> tuple[list[tuple[int, int, bool]], int]:
-    """Each statement's sides as ints of ``nvars`` lanes, its strictness, and
-    the lane width (``sign_matrix``)."""
+    """Each statement's sides as ints of a lane per variable, its
+    strictness, and the lane width (``sign_matrix``)."""
     if c.rank is None:
-        try:
-            packed = [
-                (
-                    int.from_bytes(bytes(s.left.values), "little"),
-                    int.from_bytes(bytes(s.right.values), "little"),
-                    s.strict,
-                )
-                for s in statements
-            ]
-        except ValueError:  # a value outside 0..255
-            pass
-        else:
-            used = 0
-            for a, b, _ in packed:
-                used |= a | b
-            if not used & _top_bits(nvars, 8):
-                return packed, 8
+        packed = [(s.left.lanes, s.right.lanes, s.strict) for s in statements]
+        if all(a is not None and b is not None for a, b, _ in packed):
+            return packed, 8
     rank = c.rank
     if rank is None:
         present = {v for s in statements for v in s.left.values + s.right.values}
@@ -367,7 +352,10 @@ class Reasoner:
     ``j`` is canonical level ``j``. Each alternative's folds over all variable
     subsets are computed once too. Every later question about the statement
     reads the row, so one object serves one request; it holds no state beyond
-    the rows it compiled and nothing outlives it.
+    the rows it compiled and ``memo``, and nothing outlives it.
+
+    ``memo`` keeps what callers derive once per request from the space and
+    combiner (``midground``'s non-trivial candidate language).
     """
 
     def __init__(
@@ -383,6 +371,7 @@ class Reasoner:
         self.limits = limits
         self._folds: dict[Alternative, list[int]] = {}
         self._rows: dict[Statement, tuple[int, int]] = {}
+        self.memo: dict[str, object] = {}
 
     @functools.cached_property
     def levels(self) -> list[int]:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,38 @@ def test_capacity_exit_code(ne_file, capsys):
     code, _, err = run(capsys, "check", ne_file, "--max-vars-hier", "1")
     assert code == 3
     assert "stopped" in err
+
+
+@pytest.mark.parametrize(
+    "header,message",
+    [
+        ("vars x:0..1000000000, y:0..100\ncombiner sum\nmodels lexicographic",
+         "domains declare 1000000102 values"),
+        ("vars x:0..599, y:0..100\ncombiner tie\nmodels hierarchical",
+         "tie combiner over 600 values"),
+        # overlapping ranges count once: 0..256 is 257 values
+        ("vars x:0..200, y:100..256\ncombiner tie\nmodels hierarchical",
+         "tie combiner over 257 values"),
+    ],
+    ids=["huge-range", "tie-600", "tie-257-overlapping"],
+)
+def test_oversized_domains_refused_up_front(tmp_path, capsys, header, message):
+    p = tmp_path / "big.pref"
+    p.write_text(header + "\n\nstakeholder a {\n  (1,100) > (0,100)\n}\n")
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 3
+    assert message in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_domains_at_the_caps_are_accepted(tmp_path, capsys):
+    p = tmp_path / "edge.pref"
+    p.write_text("vars x:0..200, y:100..255\ncombiner tie\nmodels hierarchical\n"
+                 "\nstakeholder a {\n  (1,100) > (0,100)\n}\n")
+    code, out, _ = run(capsys, "check", str(p))
+    assert code == 0, out
+    assert dsl.MAX_TIE_VALUES == 256
 
 
 def test_binary_language_cap_exit_code(lex_file, capsys):

@@ -61,6 +61,81 @@ class TestVariableSpace:
             sp.check_alternative(alt(2, 0))
 
 
+def _reference_check(sp: VariableSpace, a: Alternative) -> str | None:
+    """The per-value domain check: the message it raises, or None."""
+    if len(a.values) != sp.size:
+        return f"alternative has {len(a.values)} values, space has {sp.size}"
+    for name, dom, v in zip(sp.variables, sp.domains, a.values):
+        if v not in dom:
+            return f"value {v} outside domain of {name!r}"
+    return None
+
+
+def _checked(sp: VariableSpace, a: Alternative) -> str | None:
+    try:
+        sp.check_alternative(a)
+    except DomainMismatchError as exc:
+        return str(exc)
+    return None
+
+
+class TestLanes:
+    @given(values=st.lists(
+        st.one_of(
+            st.integers(0, 127),
+            st.sampled_from((-1, 127, 128, 255, 256, True, False)),
+            st.integers(-(10**30), 10**30),
+        ),
+        max_size=60,
+    ))
+    def test_lanes_pack_values_in_0_to_127(self, values):
+        a = Alternative(tuple(values))
+        if all(0 <= v <= 127 for v in values):
+            assert a.lanes is not None
+            packed = a.lanes.to_bytes(len(values), "little")
+            assert a.lanes >> 8 * len(values) == 0
+            assert list(packed) == [int(v) for v in values]
+        else:
+            assert a.lanes is None
+
+    def test_lanes_stay_out_of_equality_hash_and_repr(self):
+        a, b = Alternative((1, 2)), Alternative((1, 2))
+        assert a.lanes == 0x0201
+        assert a == b and hash(a) == hash(b) == hash((1, 2))
+        assert repr(a) == "Alternative(values=(1, 2))"
+        assert Alternative((200,)).lanes is None
+
+    @pytest.mark.parametrize(
+        "domains",
+        [
+            ((0, 1), (0, 1, 2)),  # contiguous: the lane path
+            ((0, 1, 2, 3), tuple(range(5, 128))),
+            ((0, 2, 3), (1, 2)),  # a gap
+            ((120, 121, 122, 123, 124, 125, 126, 127, 128, 129), (0, 1)),  # crosses 127
+            ((-2, -1, 0, 1), (0, 1)),  # negative
+            (tuple(range(126, 131)), (-1, 0)),
+        ],
+        ids=["contiguous", "up-to-127", "gapped", "crosses-127", "negative",
+             "both-sides"],
+    )
+    def test_check_alternative_matches_per_value_reference(self, domains):
+        sp = VariableSpace(("x", "y"), domains)
+        contiguous = all(0 <= d[0] and d[-1] <= 127 and d == tuple(range(d[0], d[-1] + 1))
+                         for d in domains)
+        assert (sp._lane_bounds is not None) == contiguous
+        probe = sorted({v + dv for d in domains for v in (d[0], d[-1], d[len(d) // 2])
+                        for dv in (-1, 0, 1)} | {True, False, 255, 256})
+        cases = [Alternative(v) for v in itertools.product(probe, repeat=2)]
+        cases += [Alternative(()), Alternative((0,)), Alternative((1, 1, 1)),
+                  Alternative((domains[0][0],)), Alternative((0, 1, 0))]
+        accepted = 0
+        for a in cases:
+            want = _reference_check(sp, a)
+            assert _checked(sp, a) == want, a
+            accepted += want is None
+        assert accepted and accepted < len(cases)
+
+
 class TestCombiner:
     @pytest.mark.parametrize("kind", BUILTIN_KINDS)
     @given(values=st.lists(st.integers(0, 7), min_size=1, max_size=5))

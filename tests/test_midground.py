@@ -104,6 +104,30 @@ def test_hier_candidates_are_exactly_the_nontrivial_statements():
     assert set(cands) == set(nontrivial)
 
 
+def test_hier_candidates_built_once_per_reasoner(monkeypatch):
+    # construction over the candidate language, then P5 for each ground,
+    # share one build of the language per request
+    import concord.midground as mg
+
+    builds = []
+    real = mg.full_language
+    monkeypatch.setattr(mg, "full_language", lambda *a: builds.append(a) or real(*a))
+    c = Combiner("max")
+    profile = Profile(SP3, c, "hier", (
+        Stakeholder("a", (stmt((1, 0, 0), (0, 1, 0)),)),
+        Stakeholder("b", (stmt((0, 1, 0), (1, 0, 0)),)),
+    ))
+    r = Reasoner(SP3, c, "hier")
+    res = mg._construct_mgs(profile, "candidates", r)
+    assert res.grounds and res.exhaustive
+    for ground in res.grounds:
+        assert mg._check_postulates(ground, profile, True, r).p5.verdict == PASS
+    assert len(builds) == 1
+    # a new request builds its own
+    assert hier_candidates(SP3, c) == mg._hier_candidates(r)
+    assert len(builds) == 2
+
+
 def test_hier_candidates_single_binary_variable_empty():
     # with one binary variable every statement is decided by the only level,
     # so nothing non-trivial survives

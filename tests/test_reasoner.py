@@ -278,6 +278,32 @@ def test_sign_rows_read_back_as_combiner_signs(values, combiner, width):
         assert lane_signs(signs, i) == combiner.signs(s), s
 
 
+def test_sign_rows_mix_packed_and_unpacked_sides():
+    # Some sides carry lanes (values in 0..127) and some do not: the whole
+    # list goes to the rank path, and its signs stay the combiner's.
+    rng = random.Random(5)
+    values = (-1, 0, 1, 5, 127, 128, 300)
+    statements = [
+        stmt(tuple(rng.choice(values) for _ in range(3)),
+             tuple(rng.choice(values[1:5]) for _ in range(3)),
+             strict=rng.random() < 0.5)
+        for _ in range(40)
+    ] + [stmt((0, 1, 2), (2, 1, 0)), stmt((127, 0, 3), (0, 127, 3), strict=False)]
+    lanes = [a.lanes is None for s in statements for a in (s.left, s.right)]
+    assert any(lanes) and not all(lanes)
+    for c in (SUM, Combiner("max")):
+        signs, _ = sign_matrix(statements, c)
+        assert signs.width == 8
+        for i, s in enumerate(statements):
+            assert lane_signs(signs, i) == c.signs(s), s
+    # Every side packed: the lanes are read as built.
+    packed = statements[-2:]
+    assert sign_matrix(packed, SUM)[0].rows == [
+        (0b10000000 << 16, 0b10000000, True),
+        (0b10000000, 0b10000000 << 8, False),
+    ]
+
+
 def test_sign_rows_refuse_values_they_cannot_place():
     # 9 is in the space but outside the combiner's universe
     sp = VariableSpace(("x", "y"), ((2, 7, 9), (2, 7)))
