@@ -35,7 +35,6 @@ from .reasoner import (
     Reasoner,
     classify,
     entails,
-    is_consistent,
 )
 
 __all__ = ["main"]
@@ -159,13 +158,13 @@ def _emit_grounds(
 
 def _cmd_check(args: argparse.Namespace) -> int:
     doc, profile = _load_profile(args)
-    limits = _load_limits(args)
-    sp, c, mc = profile.space, profile.combiner, profile.model_class
+    sp = profile.space
+    r = Reasoner(sp, profile.combiner, profile.model_class, _load_limits(args))
     per = {
-        sh.name: _verdict_word(is_consistent(sh.statements, sp, c, mc, limits).consistent)
+        sh.name: _verdict_word(r.is_consistent(sh.statements).consistent)
         for sh in profile.stakeholders
     }
-    union = is_consistent(profile.union_statements(), sp, c, mc, limits)
+    union = r.is_consistent(profile.union_statements())
     lines = ["stakeholder %s: %s" % (name, word) for name, word in per.items()]
     lines.append("union: " + _verdict_word(union.consistent))
     witnesses = []

@@ -20,6 +20,13 @@ call, so every statement's hierarchical level row is compiled once per
 request and dies with it. A request that makes several calls (``cli``'s
 ``mg-construct --verify``) passes one ``Reasoner`` to the private
 ``_construct_mgs`` and ``_check_postulates`` instead.
+
+The inner questions (P3 compatibility, P4 entailment, the stakeholder
+check, the class search and the P5 split test) read only a verdict, so they
+ask ``Reasoner.consistent``, which builds no witness. What leaves the
+process is decided by ``Reasoner.is_consistent``, which builds a witness and
+re-checks it statement by statement: every ground ``construct_mgs`` returns,
+the union check, and P1 of ``check_postulates``.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ def _falsifiable(stmts: Sequence[Statement], r: Reasoner) -> bool:
 
 def _compatible(s: Statement, union: Sequence[Statement], r: Reasoner) -> bool:
     """P3 for one statement: consistent with each union statement on its own."""
-    return all(r.is_consistent((s, u)).consistent for u in union)
+    return all(r.consistent((s, u)) for u in union)
 
 
 def _entailed(s: Statement, profile: Profile, r: Reasoner) -> bool:
@@ -76,7 +83,7 @@ def _require_nontrivial(profile: Profile, r: Reasoner) -> None:
     if not profile.stakeholders:
         raise TrivialStakeholderError("profile has no stakeholders")
     for sh in profile.stakeholders:
-        if not r.is_consistent(sh.statements).consistent:
+        if not r.consistent(sh.statements):
             raise TrivialStakeholderError(f"stakeholder {sh.name!r} is inconsistent")
         if not _falsifiable(sh.statements, r):
             raise TrivialStakeholderError(
@@ -180,12 +187,22 @@ def _candidate_pool(
     profile: Profile, language: Sequence[Statement], r: Reasoner
 ) -> Iterator[Statement]:
     """Language statements passing the three per-statement filters, lazily
-    and in language order."""
+    and in language order.
+
+    Statements sharing a ``Reasoner.equivalence_key`` hold in the same
+    models, so the compatibility and entailment filters run once per key.
+    """
     union = profile.union_statements()
+    verdicts: dict[tuple, bool] = {}
     for s in dedupe_statements(language):
         if r.classify(s) is not Triviality.NON_TRIVIAL:
             continue
-        if _compatible(s, union, r) and _entailed(s, profile, r):
+        key = r.equivalence_key(s)
+        passes = verdicts.get(key)
+        if passes is None:
+            passes = _compatible(s, union, r) and _entailed(s, profile, r)
+            verdicts[key] = passes
+        if passes:
             yield s
 
 
@@ -397,7 +414,7 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
         if weight + suffix[i] < best:
             return
         trial = reps + (ordered[i][0],)
-        if r.is_consistent(trial).consistent:
+        if r.consistent(trial):
             descend(i + 1, picked + (i,), trial, weight + weights[i])
         descend(i + 1, picked, reps, weight)
 
@@ -408,6 +425,11 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
         tuple(itertools.chain.from_iterable(ordered[i] for i in picked))
         for picked in found
     ]
+    # The search asked for verdicts only; what is returned gets a witness,
+    # re-checked statement by statement.
+    for ground in grounds:
+        if not r.is_consistent(ground).consistent:
+            raise RuntimeError("internal error: middle ground failed re-check")
     return MiddleGroundSet(
         grounds=canonical_grounds(grounds), exhaustive=exhaustive, stats=stats
     )
@@ -527,7 +549,7 @@ def _p5_verdict(cand: Sequence[Statement], profile: Profile, r: Reasoner) -> str
         if key in seen:
             continue
         seen.add(key)
-        if not r.is_consistent(reps + (s,)).consistent or r.entails(reps, s):
+        if not r.consistent(reps + (s,)) or r.entails(reps, s):
             continue
         if in_pool(s):
             return FAIL if all(in_pool(m) for m in reps) else NOT_CHECKED

@@ -438,8 +438,29 @@ class Reasoner:
             return Triviality.CONTRADICTION
         return Triviality.NON_TRIVIAL
 
+    def consistent(self, statements: Sequence[Statement]) -> bool:
+        """Whether ``statements`` have a common model: the verdict alone.
+
+        The inner questions of a request (pair compatibility, entailment,
+        the class search, the P5 split test) ask this. It builds no witness
+        and re-checks nothing, and it does not dedupe: a repeated row changes
+        nothing in the greedy. What leaves the process goes through
+        ``is_consistent`` instead.
+        """
+        if self.model_class == "lex":
+            signs, _ = sign_matrix(statements, self.c)
+            return _lex_consistent_from_signs(signs)[0] is not None
+        return self._hier_path(statements)[0] is not None
+
     def is_consistent(self, statements: Sequence[Statement]) -> ConsistencyResult:
         """Consistency with a constructed, re-checked witness.
+
+        This is the call for answers that leave the process: ``check``, the
+        public ``is_consistent*`` functions, P1 of ``check_postulates`` and
+        each ground ``construct_mgs`` returns. The witness is re-checked
+        against every statement (``models.satisfies_set``, or its lexicographic
+        twin) and a failure raises ``RuntimeError``. Inner questions that
+        only read the verdict ask ``consistent``.
 
         Hierarchical sets are decided by the greedy below; see
         ``is_consistent_hier`` for why it never needs to undo a level.
@@ -447,31 +468,10 @@ class Reasoner:
         if self.model_class == "lex":
             return is_consistent_lex(statements, self.space, self.c, self.limits)
         stmts = dedupe_statements(statements)
+        path, nodes = self._hier_path(stmts)
+        if path is None:
+            return ConsistencyResult(False, None, SearchStats(nodes, max(nodes - 1, 0)))
         n = self.space.size
-        cap = self.limits.max_vars_hier
-        if n > cap:
-            raise CapacityError(
-                f"hierarchical search capped at {cap} variables, got {n}"
-            )
-        if not stmts:
-            return ConsistencyResult(True, HierarchicalModel((frozenset((0,)),)))
-        deadline = None
-        if self.limits.timeout_ms is not None:
-            deadline = time.monotonic() + self.limits.timeout_ms / 1000.0
-        rows = [self.row(s) + (s.strict,) for s in stmts]
-        path, _, stalled = _greedy(rows, False, deadline)
-        if stalled:
-            return ConsistencyResult(
-                False, None, SearchStats(len(path) + 1, len(path))
-            )
-        stats = SearchStats(len(path), len(path))
-        if not path:
-            # Only weak statements: a model needs one level, and any level at
-            # which nothing loses will do.
-            safe = _lowest_safe(rows, self._all_levels)
-            if not safe:
-                return ConsistencyResult(False, None, stats)
-            path.append(safe)
         levels = self.levels
         witness = HierarchicalModel(
             tuple(
@@ -481,11 +481,40 @@ class Reasoner:
         )
         if not satisfies_set(witness, stmts, self.c):
             raise RuntimeError("internal error: hierarchical witness failed re-check")
-        return ConsistencyResult(True, witness, stats)
+        return ConsistencyResult(True, witness, SearchStats(nodes, nodes))
+
+    def _hier_path(
+        self, statements: Sequence[Statement]
+    ) -> tuple[list[int] | None, int]:
+        """The hierarchical greedy on the statements' rows: a witness's
+        levels as canonical level bits (``None`` when inconsistent), and the
+        greedy's node count.
+
+        With only weak statements the greedy takes no level; a model needs
+        one, and any level at which nothing loses will do (level 0 for the
+        empty set).
+        """
+        n = self.space.size
+        cap = self.limits.max_vars_hier
+        if n > cap:
+            raise CapacityError(
+                f"hierarchical search capped at {cap} variables, got {n}"
+            )
+        deadline = None
+        if self.limits.timeout_ms is not None:
+            deadline = time.monotonic() + self.limits.timeout_ms / 1000.0
+        rows = [self.row(s) + (s.strict,) for s in statements]
+        path, _, stalled = _greedy(rows, False, deadline)
+        if stalled:
+            return None, len(path) + 1
+        if not path:
+            safe = _lowest_safe(rows, self._all_levels)
+            return ([safe] if safe else None), 0
+        return path, len(path)
 
     def entails(self, premises: Sequence[Statement], s: Statement) -> bool:
         combined = tuple(premises) + (complement(s),)
-        return not self.is_consistent(combined).consistent
+        return not self.consistent(combined)
 
     def equivalent(
         self, first: Sequence[Statement], second: Sequence[Statement]

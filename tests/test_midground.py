@@ -12,6 +12,7 @@ from concord.domain import (
     Triviality,
     VariableSpace,
 )
+from concord import midground, reasoner
 from concord.errors import CapacityError, TrivialStakeholderError
 from concord.midground import (
     _candidate_pool,
@@ -293,6 +294,54 @@ def test_pool_strict_implies_weak_closure():
             if classify(weak, sp, SUM, "hier") is Triviality.NON_TRIVIAL:
                 assert weak in pool, (profile, s)
         done += 1
+
+
+def test_pool_filters_once_per_equivalence_key(monkeypatch):
+    profile, _ = nonuniqueness_fixture()
+    union = profile.union_statements()
+    lang = hier_candidates(profile.space, profile.combiner)
+    ref = Reasoner(profile.space, profile.combiner)
+    expected = [
+        s
+        for s in lang
+        if ref.classify(s) is Triviality.NON_TRIVIAL
+        and midground._compatible(s, union, ref)
+        and midground._entailed(s, profile, ref)
+    ]
+    keys = {ref.equivalence_key(s) for s in lang}
+    assert (len(lang), len(keys)) == (350, 130)
+
+    asked = []
+    compatible = midground._compatible
+
+    def counting(s, union, r):
+        asked.append(ref.equivalence_key(s))
+        return compatible(s, union, r)
+
+    monkeypatch.setattr(midground, "_compatible", counting)
+    r = Reasoner(profile.space, profile.combiner)
+    assert list(_candidate_pool(profile, lang, r)) == expected
+    assert len(asked) == len(set(asked)) <= len(keys)
+
+
+def test_construct_rechecks_every_returned_ground(monkeypatch):
+    profile, _ = nonuniqueness_fixture()
+    checked = []
+    satisfies_set = reasoner.satisfies_set
+
+    def counting(model, stmts, c):
+        checked.append(frozenset(stmts))
+        return satisfies_set(model, stmts, c)
+
+    monkeypatch.setattr(reasoner, "satisfies_set", counting)
+    res = construct_mgs(profile, "candidates")
+    assert len(res.grounds) == 4
+    # One witness re-check per ground; the inner questions build none.
+    assert len(checked) == 4 and set(checked) == set(map(frozenset, res.grounds))
+
+    monkeypatch.setattr(reasoner, "satisfies_set", lambda model, stmts, c: False)
+    with pytest.raises(RuntimeError, match="re-check"):
+        construct_mgs(profile, "candidates")
 
 
 def test_pool_filters_agree_with_postulate_audit():

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concord.domain import (
+    BUILTIN_KINDS,
+    Alternative,
     Combiner,
     Profile,
     Stakeholder,
@@ -387,6 +389,68 @@ def test_hier_random_against_oracle():
         assert taken == (nodes if res.consistent else max(nodes - 1, 0))
         agreements += 1
     assert agreements == 600
+
+
+@st.composite
+def _small_sets(draw):
+    """A space of 1-3 variables over 0..1 or 0..2, a built-in combiner, a
+    model class and up to five statements, reshaped into one of: as drawn,
+    weak only, with duplicates, with a contradiction (a strict ``a > a``),
+    or empty."""
+    n = draw(st.integers(1, 3))
+    dom = tuple(range(draw(st.integers(2, 3))))
+    sp = VariableSpace(tuple("v%d" % i for i in range(n)), (dom,) * n)
+    c = Combiner(draw(st.sampled_from(BUILTIN_KINDS)))
+    mc = draw(st.sampled_from(("hier", "lex")))
+    side = st.builds(Alternative, st.tuples(*[st.sampled_from(dom)] * n))
+    stmts = draw(st.lists(st.builds(Statement, side, side, st.booleans()), max_size=5))
+    shapes = ("drawn", "weak", "duplicated", "contradiction", "empty")
+    shape = draw(st.sampled_from(shapes))
+    if shape == "weak":
+        stmts = [Statement(s.left, s.right, False) for s in stmts]
+    elif shape == "duplicated":
+        stmts = stmts + stmts[::-1]
+    elif shape == "contradiction":
+        a = draw(side)
+        stmts = stmts + [Statement(a, a, True)]
+    elif shape == "empty":
+        stmts = []
+    return sp, c, mc, tuple(stmts)
+
+
+@settings(max_examples=300)
+@given(case=_small_sets())
+def test_consistent_verdict_matches_witness_path_and_oracle(case):
+    sp, c, mc, stmts = case
+    r = Reasoner(sp, c, mc)
+    verdict = r.consistent(stmts)
+    assert verdict == r.is_consistent(stmts).consistent
+    assert verdict == brute_consistent(stmts, sp, c, mc)
+
+
+def _timed_out(call) -> bool:
+    try:
+        call()
+    except IndeterminateError:
+        return True
+    return False
+
+
+@settings(max_examples=100)
+@given(case=_small_sets())
+def test_consistent_times_out_where_is_consistent_does(case):
+    sp, c, mc, stmts = case
+    r = Reasoner(sp, c, mc, Limits(timeout_ms=0))
+    assert _timed_out(lambda: r.consistent(stmts)) == _timed_out(
+        lambda: r.is_consistent(stmts)
+    )
+
+
+def test_consistent_timeout_zero():
+    profile, _ = nonuniqueness_fixture()
+    r = Reasoner(profile.space, profile.combiner, "hier", Limits(timeout_ms=0))
+    with pytest.raises(IndeterminateError):
+        r.consistent(profile.union_statements())
 
 
 def _planted_max_set(rng, n, m, top=3):
