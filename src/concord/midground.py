@@ -23,10 +23,26 @@ request and dies with it. A request that makes several calls (``cli``'s
 
 The inner questions (P3 compatibility, P4 entailment, the stakeholder
 check, the class search and the P5 split test) read only a verdict, so they
-ask ``Reasoner.consistent``, which builds no witness. What leaves the
-process is decided by ``Reasoner.is_consistent``, which builds a witness and
-re-checks it statement by statement: every ground ``construct_mgs`` returns,
-the union check, and P1 of ``check_postulates``.
+build no witness. Under hierarchical models they run on the ``Reasoner``'s
+rows: the class search and the split test carry lists of rows, and
+entailment appends the complement's row (the statement's row swapped, its
+strictness flipped). P3 needs no greedy at all. For statements ``s`` and
+``u`` that are each consistent alone, ``{s, u}`` is consistent iff some
+level is won by either and lost by neither when either is strict, or lost
+by neither when both are weak (``_compatible``). That is complete because
+the greedy is: it fails only where no such first level exists, and after
+one, each row still pending ties there and, being consistent alone,
+finishes on its own; a lone statement that is not a contradiction always
+does. Union statements meet the precondition once ``_require_nontrivial``
+has passed, and a candidate that is a contradiction is caught first.
+
+What leaves the process is decided by ``Reasoner.is_consistent``, which
+builds a witness and re-checks it statement by statement: every ground
+``construct_mgs`` returns, the union check, and P1 of ``check_postulates``.
+
+The request's deadline (``Limits.timeout_ms``) is armed when its
+``Reasoner`` is made. The greedy, the candidate-language build, the pool
+filter and the class search read it, so a timeout stops the whole request.
 """
 
 from __future__ import annotations
@@ -69,8 +85,33 @@ def _falsifiable(stmts: Sequence[Statement], r: Reasoner) -> bool:
 
 
 def _compatible(s: Statement, union: Sequence[Statement], r: Reasoner) -> bool:
-    """P3 for one statement: consistent with each union statement on its own."""
-    return all(r.consistent((s, u)) for u in union)
+    """P3 for one statement: consistent with each union statement on its own.
+
+    Under hierarchical models this is a test on rows, with no greedy. Let
+    ``s`` and ``u`` have rows ``(ws, ls)`` and ``(wu, lu)``, and let each be
+    consistent alone. If either is strict, ``{s, u}`` is consistent iff
+    ``(ws | wu) & ~(ls | lu)`` is non-zero; if both are weak, iff some level
+    is in neither ``ls`` nor ``lu``. The first is the greedy's first step:
+    the greedy is complete, so with no such level the pair is inconsistent;
+    with one, each row left pending ties there and, being consistent alone,
+    finishes on its own (a lone statement that is not a contradiction
+    always does). The second is the greedy's all-weak fallback.
+
+    The precondition holds for every union statement once
+    ``_require_nontrivial`` has passed (each stakeholder set is consistent).
+    ``s`` itself is tested first: a contradiction, which ``check_postulates``
+    can be given, is compatible with no statement.
+    """
+    if r.model_class == "lex":
+        return all(r.consistent((s, u)) for u in union)
+    ws, ls, strict = r.row(s)
+    everywhere = r.all_levels
+    if not (ws if strict else everywhere & ~ls):
+        return not union
+    for wu, lu, strict_u in r.rows(union):
+        if not (ws | wu if strict or strict_u else everywhere) & ~(ls | lu):
+            return False
+    return True
 
 
 def _entailed(s: Statement, profile: Profile, r: Reasoner) -> bool:
@@ -175,12 +216,39 @@ def _hier_candidates(r: Reasoner) -> tuple[Statement, ...]:
     per ``Reasoner`` (its ``memo``), so once per request."""
     cands = r.memo.get("hier_candidates")
     if cands is None:
-        cands = r.memo["hier_candidates"] = tuple(
-            s
-            for s in full_language(r.space, r.limits)
-            if r.classify(s) is Triviality.NON_TRIVIAL
-        )
+        cands = r.memo["hier_candidates"] = _nontrivial_language(r)
     return cands
+
+
+def _nontrivial_language(r: Reasoner) -> tuple[Statement, ...]:
+    """The non-trivial statements of ``full_language``, in its order, read
+    off pair rows.
+
+    Each pair of sides is compiled once, with its swapped pair
+    (``Reasoner.pair_row``), and a ``Statement`` is built only for the
+    non-trivial ones: the weak ``a >= b`` when ``a`` loses at some level but
+    not all, the strict ``a > b`` when it wins at some level but not all
+    (``Reasoner._classify_row``). Under the sum combiner ``classify`` reads
+    per-variable signs instead; the verdicts agree, since a subset sum wins
+    everywhere iff every variable does, and loses nowhere iff no variable
+    does. The language cap is checked before anything is built, and the
+    request's deadline once per left side.
+    """
+    alts = list(r.space.alternatives())
+    _check_language_size(2 * len(alts) * len(alts), r.limits, "full language")
+    r.check_classify_cap()
+    everywhere = r.all_levels
+    pair_row = r.pair_row
+    out: list[Statement] = []
+    for a in alts:
+        r.check_deadline()
+        for b in alts:
+            win, lose = pair_row(a, b)
+            if lose and lose != everywhere:
+                out.append(Statement(a, b, strict=False))
+            if win and win != everywhere:
+                out.append(Statement(a, b, strict=True))
+    return tuple(out)
 
 
 def _candidate_pool(
@@ -194,7 +262,9 @@ def _candidate_pool(
     """
     union = profile.union_statements()
     verdicts: dict[tuple, bool] = {}
-    for s in dedupe_statements(language):
+    for i, s in enumerate(dedupe_statements(language)):
+        if not i & 1023:
+            r.check_deadline()
         if r.classify(s) is not Triviality.NON_TRIVIAL:
             continue
         key = r.equivalence_key(s)
@@ -393,6 +463,9 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
         range(len(classes)), key=lambda i: (-len(classes[i]), i)
     )
     ordered = [classes[i] for i in order]
+    # Members of a class hold in the same models, so its first one's row
+    # stands for it.
+    rows, consistent = r.search_rows([cls[0] for cls in ordered])
     weights = [len(cls) for cls in ordered]
     suffix = [0] * (len(ordered) + 1)
     for i in range(len(ordered) - 1, -1, -1):
@@ -401,9 +474,13 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def descend(i: int, picked: tuple[int, ...], reps: tuple[Statement, ...], weight: int) -> None:
+    def descend(
+        i: int, picked: tuple[int, ...], taken: list[tuple[int, int, bool]], weight: int
+    ) -> None:
         nonlocal best, found, nodes
         nodes += 1
+        if not nodes & 1023:
+            r.check_deadline()
         if i == len(ordered):
             if weight > best:
                 best = weight
@@ -413,12 +490,12 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
             return
         if weight + suffix[i] < best:
             return
-        trial = reps + (ordered[i][0],)
-        if r.consistent(trial):
+        trial = taken + [rows[i]]
+        if consistent(trial):
             descend(i + 1, picked + (i,), trial, weight + weights[i])
-        descend(i + 1, picked, reps, weight)
+        descend(i + 1, picked, taken, weight)
 
-    descend(0, (), (), 0)
+    descend(0, (), [], 0)
     stats["classes"] = len(classes)
     stats["nodes"] = nodes
     grounds = [
@@ -544,13 +621,26 @@ def _p5_verdict(cand: Sequence[Statement], profile: Profile, r: Reasoner) -> str
     def in_pool(s: Statement) -> bool:
         return _compatible(s, union, r) and _entailed(s, profile, r)
 
+    if lex:
+        def splits(s: Statement) -> bool:
+            return r.consistent(reps + (s,)) and not r.entails(reps, s)
+    else:
+        # The members' rows plus ``s``'s, and plus its complement's: the
+        # same row read the other way round, strictness flipped.
+        rows = r.rows(reps)
+        consistent = r.consistent_rows
+
+        def splits(s: Statement) -> bool:
+            win, lose, strict = row = r.row(s)
+            return consistent(rows + [row]) and consistent(
+                rows + [(lose, win, not strict)]
+            )
+
     for s in lang:
         key = r.equivalence_key(s)
         if key in seen:
             continue
         seen.add(key)
-        if not r.consistent(reps + (s,)) or r.entails(reps, s):
-            continue
-        if in_pool(s):
+        if splits(s) and in_pool(s):
             return FAIL if all(in_pool(m) for m in reps) else NOT_CHECKED
     return PASS

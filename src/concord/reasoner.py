@@ -9,8 +9,10 @@ in place of variables: it appends the first canonical level at which some
 pending statement wins and none loses. That needs levels to be free to
 overlap, as ``models`` and ``oracle`` allow; ``is_consistent_hier`` gives
 the argument. It reads each statement's win and lose levels from rows that a
-``Reasoner`` compiles once per statement, and scans all 2^n - 1 levels, so it
-stays exponential in the number of variables.
+``Reasoner`` compiles once per pair of sides (the swapped pair's row is the
+same two masks swapped, and a weak and a strict statement over one pair
+differ only in the strictness their row carries), and scans all 2^n - 1
+levels, so it stays exponential in the number of variables.
 
 Both run one kernel, ``_greedy``, on rows of two Python ints per statement:
 the steps at which its left side wins and those at which it loses, one bit
@@ -34,7 +36,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .domain import (
     Alternative,
@@ -234,7 +236,7 @@ def _greedy(
     pending = rows
     while pending if settle_weak else any(r[2] for r in pending):
         if deadline is not None and time.monotonic() > deadline:
-            raise IndeterminateError("hierarchical search timed out")
+            raise IndeterminateError("request timed out")
         win = lose = 0
         for w, l, _ in pending:
             win |= w
@@ -343,19 +345,26 @@ _LOSE_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"100")
 
 class Reasoner:
     """Consistency, entailment, equivalence and triviality for one space,
-    combiner, model class and set of limits.
+    combiner, model class and set of limits: one request.
 
     Lexicographic questions go to the lexicographic functions above. Under
-    hierarchical models every statement met is compiled once, on first use,
-    into its *row*: the canonical levels (``_canonical_levels``) at which its
-    left side wins and those at which it loses, as two bitmasks whose bit
-    ``j`` is canonical level ``j``. Each alternative's folds over all variable
-    subsets are computed once too. Every later question about the statement
-    reads the row, so one object serves one request; it holds no state beyond
-    the rows it compiled and ``memo``, and nothing outlives it.
+    hierarchical models every pair of sides met is compiled once, on first
+    use, into its *row*: the canonical levels (``_canonical_levels``) at
+    which the left side wins and those at which it loses, as two bitmasks
+    whose bit ``j`` is canonical level ``j``. The swapped pair's row is the
+    same two masks the other way round, stored at the same time, and a weak
+    and a strict statement over one pair share its row; ``row`` hands a
+    statement its pair's row plus its strictness, the ``(win, lose, strict)``
+    that ``_greedy`` reads. Each alternative's folds over all variable
+    subsets are computed once too. Inner questions (``consistent_rows``, and
+    ``midground``'s pair test and searches) then run on lists of rows.
 
-    ``memo`` keeps what callers derive once per request from the space and
-    combiner (``midground``'s non-trivial candidate language).
+    The request's deadline (``limits.timeout_ms``) is armed once, when the
+    reasoner is made, and every greedy call and ``check_deadline`` reads it,
+    so the timeout binds the whole request. Nothing outlives the object: it
+    holds the rows it compiled and ``memo``, which keeps what callers derive
+    once per request from the space and combiner (``midground``'s
+    non-trivial candidate language).
     """
 
     def __init__(
@@ -369,9 +378,18 @@ class Reasoner:
         self.c = c
         self.model_class = model_class
         self.limits = limits
+        self.deadline = None
+        if limits.timeout_ms is not None:
+            self.deadline = time.monotonic() + limits.timeout_ms / 1000.0
         self._folds: dict[Alternative, list[int]] = {}
-        self._rows: dict[Statement, tuple[int, int]] = {}
+        self._pairs: dict[tuple[Alternative, Alternative], tuple[int, int]] = {}
+        self._rows: dict[Statement, tuple[int, int, bool]] = {}
         self.memo: dict[str, object] = {}
+
+    def check_deadline(self) -> None:
+        """Raise ``IndeterminateError`` once the request's deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise IndeterminateError("request timed out")
 
     @functools.cached_property
     def levels(self) -> list[int]:
@@ -379,24 +397,42 @@ class Reasoner:
         return _canonical_levels(self.space.size)
 
     @functools.cached_property
-    def _all_levels(self) -> int:
+    def all_levels(self) -> int:
+        """Every canonical level's bit."""
         return (1 << len(self.levels)) - 1
 
-    def row(self, s: Statement) -> tuple[int, int]:
-        """The levels at which ``s``'s left side wins, and at which it loses."""
-        row = self._rows.get(s)
+    def pair_row(self, a: Alternative, b: Alternative) -> tuple[int, int]:
+        """The levels at which side ``a`` beats side ``b``, and at which it
+        loses. Compiling it stores ``(b, a)``'s row as well."""
+        row = self._pairs.get((a, b))
         if row is None:
-            lf, rf = self._fold(s.left), self._fold(s.right)
+            af, bf = self._fold(a), self._fold(b)
             compare = self.c.compare_values
             # One digit per level, reversed to put level 0 last, parsed in
             # base 2: linear in the number of levels, where setting bits one
             # at a time on a growing int is quadratic.
-            signs = bytes([compare(lf[mask], rf[mask]) + 1 for mask in self.levels])
+            signs = bytes([compare(af[mask], bf[mask]) + 1 for mask in self.levels])
             signs = signs[::-1]
             win = int(signs.translate(_WIN_DIGITS), 2)
             lose = int(signs.translate(_LOSE_DIGITS), 2)
-            row = self._rows[s] = (win, lose)
+            self._pairs[b, a] = (lose, win)
+            row = self._pairs[a, b] = (win, lose)
         return row
+
+    def row(self, s: Statement) -> tuple[int, int, bool]:
+        """``s``'s row: where its left side wins, where it loses, and
+        whether ``s`` is strict. Kept per statement, so asking again is one
+        lookup."""
+        return self._rows.get(s) or self._add_row(s)
+
+    def _add_row(self, s: Statement) -> tuple[int, int, bool]:
+        row = self._rows[s] = self.pair_row(s.left, s.right) + (s.strict,)
+        return row
+
+    def rows(self, statements: Sequence[Statement]) -> list[tuple[int, int, bool]]:
+        """The statements' rows, in order."""
+        get = self._rows.get
+        return [get(s) or self._add_row(s) for s in statements]
 
     def _fold(self, alt: Alternative) -> list[int]:
         folds = self._folds.get(alt)
@@ -416,11 +452,15 @@ class Reasoner:
         """
         if self.model_class == "lex" or self.c.kind == "sum":
             return classify_lex(s, self.space, self.c)
+        self.check_classify_cap()
+        return self._classify_row(s)
+
+    def check_classify_cap(self) -> None:
+        """Refuse hierarchical rows beyond ``MAX_VARS_CLASSIFY`` variables."""
         if self.space.size > MAX_VARS_CLASSIFY:
             raise CapacityError(
                 f"generic classification capped at {MAX_VARS_CLASSIFY} variables"
             )
-        return self._classify_row(s)
 
     def _classify_row(self, s: Statement) -> Triviality:
         """Triviality over hierarchical models, read off the statement's row.
@@ -429,9 +469,9 @@ class Reasoner:
         at every model iff it wins at every level, and a weak one iff it
         loses at none; both hold at no model iff they hold at no level.
         """
-        win, lose = self.row(s)
-        everywhere = self._all_levels
-        holds = win if s.strict else everywhere & ~lose
+        win, lose, strict = self.row(s)
+        everywhere = self.all_levels
+        holds = win if strict else everywhere & ~lose
         if holds == everywhere:
             return Triviality.TAUTOLOGY
         if not holds:
@@ -441,16 +481,41 @@ class Reasoner:
     def consistent(self, statements: Sequence[Statement]) -> bool:
         """Whether ``statements`` have a common model: the verdict alone.
 
-        The inner questions of a request (pair compatibility, entailment,
-        the class search, the P5 split test) ask this. It builds no witness
-        and re-checks nothing, and it does not dedupe: a repeated row changes
-        nothing in the greedy. What leaves the process goes through
-        ``is_consistent`` instead.
+        The inner questions of a request (entailment, the stakeholder check)
+        ask this, or ``consistent_rows`` when they hold rows already. It
+        builds no witness and re-checks nothing, and it does not dedupe: a
+        repeated row changes nothing in the greedy. What leaves the process
+        goes through ``is_consistent`` instead.
         """
         if self.model_class == "lex":
             signs, _ = sign_matrix(statements, self.c)
             return _lex_consistent_from_signs(signs)[0] is not None
-        return self._hier_path(statements)[0] is not None
+        return self.consistent_rows(self.rows(statements))
+
+    def consistent_rows(self, rows: list[tuple[int, int, bool]]) -> bool:
+        """``consistent`` for hierarchical statements given by their rows."""
+        return self._hier_path(rows)[0] is not None
+
+    def search_rows(
+        self, statements: Sequence[Statement]
+    ) -> tuple[list[tuple[int, int, bool]], Callable[[list], bool]]:
+        """The statements' rows, and the verdict on any list of them.
+
+        Searches over subsets of a fixed set of statements use it. Under
+        hierarchical models the verdict is ``consistent_rows``. Lexicographic
+        rows are packed over the whole set at once (``sign_matrix``), so
+        every subset shares one lane width.
+        """
+        if self.model_class != "lex":
+            return self.rows(statements), self.consistent_rows
+        signs, _ = sign_matrix(statements, self.c)
+        nvars, width = signs.nvars, signs.width
+
+        def consistent(rows: list) -> bool:
+            taken = SignRows(rows, nvars, width)
+            return _lex_consistent_from_signs(taken)[0] is not None
+
+        return signs.rows, consistent
 
     def is_consistent(self, statements: Sequence[Statement]) -> ConsistencyResult:
         """Consistency with a constructed, re-checked witness.
@@ -468,7 +533,7 @@ class Reasoner:
         if self.model_class == "lex":
             return is_consistent_lex(statements, self.space, self.c, self.limits)
         stmts = dedupe_statements(statements)
-        path, nodes = self._hier_path(stmts)
+        path, nodes = self._hier_path(self.rows(stmts))
         if path is None:
             return ConsistencyResult(False, None, SearchStats(nodes, max(nodes - 1, 0)))
         n = self.space.size
@@ -484,11 +549,10 @@ class Reasoner:
         return ConsistencyResult(True, witness, SearchStats(nodes, nodes))
 
     def _hier_path(
-        self, statements: Sequence[Statement]
+        self, rows: list[tuple[int, int, bool]]
     ) -> tuple[list[int] | None, int]:
-        """The hierarchical greedy on the statements' rows: a witness's
-        levels as canonical level bits (``None`` when inconsistent), and the
-        greedy's node count.
+        """The hierarchical greedy on rows: a witness's levels as canonical
+        level bits (``None`` when inconsistent), and the greedy's node count.
 
         With only weak statements the greedy takes no level; a model needs
         one, and any level at which nothing loses will do (level 0 for the
@@ -500,21 +564,23 @@ class Reasoner:
             raise CapacityError(
                 f"hierarchical search capped at {cap} variables, got {n}"
             )
-        deadline = None
-        if self.limits.timeout_ms is not None:
-            deadline = time.monotonic() + self.limits.timeout_ms / 1000.0
-        rows = [self.row(s) + (s.strict,) for s in statements]
-        path, _, stalled = _greedy(rows, False, deadline)
+        path, _, stalled = _greedy(rows, False, self.deadline)
         if stalled:
             return None, len(path) + 1
         if not path:
-            safe = _lowest_safe(rows, self._all_levels)
+            safe = _lowest_safe(rows, self.all_levels)
             return ([safe] if safe else None), 0
         return path, len(path)
 
     def entails(self, premises: Sequence[Statement], s: Statement) -> bool:
-        combined = tuple(premises) + (complement(s),)
-        return not self.consistent(combined)
+        """Whether every model of ``premises`` satisfies ``s``: the premises
+        plus ``s``'s complement are inconsistent. Under hierarchical models
+        the complement is ``s``'s row read the other way round, with the
+        strictness flipped."""
+        if self.model_class == "lex":
+            return not self.consistent(tuple(premises) + (complement(s),))
+        win, lose, strict = self.row(s)
+        return not self.consistent_rows(self.rows(premises) + [(lose, win, not strict)])
 
     def equivalent(
         self, first: Sequence[Statement], second: Sequence[Statement]
@@ -543,9 +609,9 @@ class Reasoner:
         """
         if self.model_class == "lex":
             return self.c.signs(s), s.strict
-        win, lose = self.row(s)
-        tie = (win | lose) != self._all_levels
-        return win, lose, s.strict if tie else None
+        win, lose, strict = self.row(s)
+        tie = (win | lose) != self.all_levels
+        return win, lose, strict if tie else None
 
 
 def is_consistent_hier(
@@ -575,8 +641,8 @@ def is_consistent_hier(
 
     The scan is over all 2^n - 1 levels, so the cost stays exponential in the
     number of variables. The witness is re-checked against every statement
-    before it is returned. ``limits.timeout_ms`` bounds this one call, not
-    the request that makes it.
+    before it is returned. ``limits.timeout_ms`` bounds the call, which is
+    one request.
     """
     return Reasoner(space, c, "hier", limits).is_consistent(statements)
 

@@ -291,6 +291,29 @@ def test_domains_at_the_caps_are_accepted(tmp_path, capsys):
     assert dsl.MAX_TIE_VALUES == 256
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mg-construct", "nonuniqueness.pref", "--language", "binary", "--timeout-ms", "200"],
+        ["mg-construct", "moral_machine.pref", "--timeout-ms", "100"],
+    ],
+    ids=["nonuniqueness-binary", "moral-machine"],
+)
+def test_timeout_binds_the_whole_request(argv, data_dir):
+    """The deadline is armed once per request, so a command made of many
+    short greedy calls (or, for nonuniqueness over the binary language, a
+    class search that would not finish) stops with exit 3."""
+    env = dict(os.environ, PYTHONPATH=str(Path(concord.__file__).parents[1]))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "concord", *argv],
+        cwd=data_dir, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "timed out" in proc.stderr
+    assert time.monotonic() - t0 < 10
+
+
 def test_binary_language_cap_exit_code(lex_file, capsys):
     # lex construction scans the binary language: 2 * 3**3 = 54 statements
     code, _, err = run(capsys, "mg-construct", lex_file, "--max-language", "53")

@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from concord.domain import (
+    BUILTIN_KINDS,
+    Alternative,
     Combiner,
     Profile,
     Stakeholder,
@@ -26,7 +30,7 @@ from concord.midground import (
     hier_candidates,
     lex_candidates,
 )
-from concord.oracle import brute_mgs, brute_p5
+from concord.oracle import brute_consistent, brute_mgs, brute_p5
 from concord.reasoner import (
     Limits,
     Reasoner,
@@ -111,8 +115,10 @@ def test_hier_candidates_built_once_per_reasoner(monkeypatch):
     import concord.midground as mg
 
     builds = []
-    real = mg.full_language
-    monkeypatch.setattr(mg, "full_language", lambda *a: builds.append(a) or real(*a))
+    real = mg._nontrivial_language
+    monkeypatch.setattr(
+        mg, "_nontrivial_language", lambda *a: builds.append(a) or real(*a)
+    )
     c = Combiner("max")
     profile = Profile(SP3, c, "hier", (
         Stakeholder("a", (stmt((1, 0, 0), (0, 1, 0)),)),
@@ -127,6 +133,77 @@ def test_hier_candidates_built_once_per_reasoner(monkeypatch):
     # a new request builds its own
     assert hier_candidates(SP3, c) == mg._hier_candidates(r)
     assert len(builds) == 2
+
+
+def _small_spaces():
+    """1-3 variables over 0..1 or 0..2."""
+    for n in (1, 2, 3):
+        for top in (1, 2):
+            dom = tuple(range(top + 1))
+            yield VariableSpace(tuple("v%d" % i for i in range(n)), (dom,) * n)
+
+
+def _combiner(kind, dom):
+    return Combiner.tie_over(dom) if kind == "tie" else Combiner(kind)
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS + ("tie",))
+def test_row_built_candidates_match_the_classified_full_language(kind):
+    """The candidates read off pair rows are the full language's non-trivial
+    statements, in its order, and every row the build stored, the swapped
+    pairs' included, is what a fresh reasoner compiles."""
+    for sp in _small_spaces():
+        c = _combiner(kind, sp.domains[0])
+        ref = Reasoner(sp, c)
+        expected = tuple(
+            s for s in full_language(sp) if ref.classify(s) is Triviality.NON_TRIVIAL
+        )
+        r = Reasoner(sp, c)
+        assert midground._hier_candidates(r) == expected
+        for s in expected:
+            r.row(s)
+        assert len(r._pairs) == len(list(sp.alternatives())) ** 2
+        for (a, b), row in r._pairs.items():
+            assert row == Reasoner(sp, c).pair_row(a, b)
+        for s, row in r._rows.items():
+            assert row == Reasoner(sp, c).row(s)
+
+
+@st.composite
+def _p3_cases(draw):
+    """A space of 1-3 variables over 0..1 or 0..2, a built-in or tie
+    combiner, a union of statements each consistent alone (as
+    ``_require_nontrivial`` leaves it), and a candidate as drawn, a
+    tautology (a weak ``a >= a``) or a contradiction (a strict ``a > a``),
+    as ``check_postulates`` can be given."""
+    n = draw(st.integers(1, 3))
+    dom = tuple(range(draw(st.integers(2, 3))))
+    sp = VariableSpace(tuple("v%d" % i for i in range(n)), (dom,) * n)
+    c = _combiner(draw(st.sampled_from(BUILTIN_KINDS + ("tie",))), dom)
+    side = st.builds(Alternative, st.tuples(*[st.sampled_from(dom)] * n))
+    statement = st.builds(Statement, side, side, st.booleans())
+    union = [
+        u for u in draw(st.lists(statement, min_size=1, max_size=4))
+        if brute_consistent((u,), sp, c, "hier")
+    ]
+    assume(union)
+    shape = draw(st.sampled_from(("drawn", "tautology", "contradiction")))
+    if shape == "drawn":
+        s = draw(statement)
+    else:
+        a = draw(side)
+        s = Statement(a, a, shape == "contradiction")
+    return sp, c, tuple(union), s
+
+
+@settings(max_examples=400)
+@given(case=_p3_cases())
+def test_p3_pair_test_matches_greedy_and_oracle(case):
+    sp, c, union, s = case
+    r = Reasoner(sp, c)
+    verdict = midground._compatible(s, union, r)
+    assert verdict == all(r.consistent((s, u)) for u in union)
+    assert verdict == all(brute_consistent((s, u), sp, c, "hier") for u in union)
 
 
 def test_hier_candidates_single_binary_variable_empty():
