@@ -24,14 +24,14 @@ request and dies with it. A request that makes several calls (``cli``'s
 The inner questions (P3 compatibility, P4 entailment, the stakeholder
 check, the class search and the P5 split test) read only a verdict, so they
 build no witness. Under hierarchical models they run on the ``Reasoner``'s
-rows: the class search and the split test carry lists of rows, and
-entailment appends the complement's row (the statement's row swapped, its
-strictness flipped). P3 needs no greedy at all. For statements ``s`` and
-``u`` that are each consistent alone, ``{s, u}`` is consistent iff some
-level is won by either and lost by neither when either is strict, or lost
-by neither when both are weak (``_compatible``). That is complete because
-the greedy is: it fails only where no such first level exists, and after
-one, each row still pending ties there and, being consistent alone,
+rows: the class search carries a list of rows, and entailment appends the
+complement's row (the statement's row swapped, its strictness flipped).
+P3 needs no greedy at all. For statements ``s`` and ``u`` that are each
+consistent alone, ``{s, u}`` is consistent iff some level is won by either
+and lost by neither when either is strict, or lost by neither when both are
+weak (``_compatible``, ``Reasoner.consistent_with_each``). That is complete
+because the greedy is: it fails only where no such first level exists, and
+after one, each row still pending ties there and, being consistent alone,
 finishes on its own; a lone statement that is not a contradiction always
 does. Union statements meet the precondition once ``_require_nontrivial``
 has passed, and a candidate that is a contradiction is caught first.
@@ -87,31 +87,17 @@ def _falsifiable(stmts: Sequence[Statement], r: Reasoner) -> bool:
 def _compatible(s: Statement, union: Sequence[Statement], r: Reasoner) -> bool:
     """P3 for one statement: consistent with each union statement on its own.
 
-    Under hierarchical models this is a test on rows, with no greedy. Let
-    ``s`` and ``u`` have rows ``(ws, ls)`` and ``(wu, lu)``, and let each be
-    consistent alone. If either is strict, ``{s, u}`` is consistent iff
-    ``(ws | wu) & ~(ls | lu)`` is non-zero; if both are weak, iff some level
-    is in neither ``ls`` nor ``lu``. The first is the greedy's first step:
-    the greedy is complete, so with no such level the pair is inconsistent;
-    with one, each row left pending ties there and, being consistent alone,
-    finishes on its own (a lone statement that is not a contradiction
-    always does). The second is the greedy's all-weak fallback.
-
-    The precondition holds for every union statement once
-    ``_require_nontrivial`` has passed (each stakeholder set is consistent).
-    ``s`` itself is tested first: a contradiction, which ``check_postulates``
-    can be given, is compatible with no statement.
+    Under hierarchical models this is ``Reasoner.consistent_with_each``'s
+    pair test on rows, with no greedy: for ``s`` and ``u`` each consistent
+    alone, ``{s, u}`` is consistent iff some level is won by either and lost
+    by neither (either strict), or lost by neither (both weak). It is
+    complete because the greedy is, and a lone statement that is not a
+    contradiction always finishes. The precondition holds for every union
+    statement once ``_require_nontrivial`` has passed (each stakeholder set
+    is consistent); a contradiction ``s``, which ``check_postulates`` can
+    be given, is compatible with no statement.
     """
-    if r.model_class == "lex":
-        return all(r.consistent((s, u)) for u in union)
-    ws, ls, strict = r.row(s)
-    everywhere = r.all_levels
-    if not (ws if strict else everywhere & ~ls):
-        return not union
-    for wu, lu, strict_u in r.rows(union):
-        if not (ws | wu if strict or strict_u else everywhere) & ~(ls | lu):
-            return False
-    return True
+    return r.consistent_with_each(s, union)
 
 
 def _entailed(s: Statement, profile: Profile, r: Reasoner) -> bool:
@@ -140,14 +126,20 @@ def _check_language_size(size: int, limits: Limits, what: str = "language") -> N
         )
 
 
-def full_language(
-    space: VariableSpace, limits: Limits = DEFAULT_LIMITS
-) -> tuple[Statement, ...]:
-    """Every weak and strict comparison between two alternatives of the space."""
+def _check_full_language(space: VariableSpace, limits: Limits) -> None:
+    """The ``max_language`` cap on the full language, from the domain sizes
+    alone, so nothing is built when it is refused."""
     n_alts = 1
     for dom in space.domains:
         n_alts *= len(dom)
     _check_language_size(2 * n_alts * n_alts, limits, "full language")
+
+
+def full_language(
+    space: VariableSpace, limits: Limits = DEFAULT_LIMITS
+) -> tuple[Statement, ...]:
+    """Every weak and strict comparison between two alternatives of the space."""
+    _check_full_language(space, limits)
     out: list[Statement] = []
     alts = list(space.alternatives())
     for a, b in itertools.product(alts, alts):
@@ -222,33 +214,13 @@ def _hier_candidates(r: Reasoner) -> tuple[Statement, ...]:
 
 def _nontrivial_language(r: Reasoner) -> tuple[Statement, ...]:
     """The non-trivial statements of ``full_language``, in its order, read
-    off pair rows.
-
-    Each pair of sides is compiled once, with its swapped pair
-    (``Reasoner.pair_row``), and a ``Statement`` is built only for the
-    non-trivial ones: the weak ``a >= b`` when ``a`` loses at some level but
-    not all, the strict ``a > b`` when it wins at some level but not all
-    (``Reasoner._classify_row``). Under the sum combiner ``classify`` reads
-    per-variable signs instead; the verdicts agree, since a subset sum wins
-    everywhere iff every variable does, and loses nowhere iff no variable
-    does. The language cap is checked before anything is built, and the
-    request's deadline once per left side.
+    off pair rows (``Reasoner.nontrivial_pairs``): each pair of sides is
+    compiled once, with its swapped pair, and a ``Statement`` is built only
+    for the non-trivial ones. The language and classification caps are
+    checked before any alternative is built.
     """
-    alts = list(r.space.alternatives())
-    _check_language_size(2 * len(alts) * len(alts), r.limits, "full language")
-    r.check_classify_cap()
-    everywhere = r.all_levels
-    pair_row = r.pair_row
-    out: list[Statement] = []
-    for a in alts:
-        r.check_deadline()
-        for b in alts:
-            win, lose = pair_row(a, b)
-            if lose and lose != everywhere:
-                out.append(Statement(a, b, strict=False))
-            if win and win != everywhere:
-                out.append(Statement(a, b, strict=True))
-    return tuple(out)
+    _check_full_language(r.space, r.limits)
+    return tuple(Statement(a, b, strict) for a, b, strict in r.nontrivial_pairs())
 
 
 def _candidate_pool(
@@ -621,26 +593,13 @@ def _p5_verdict(cand: Sequence[Statement], profile: Profile, r: Reasoner) -> str
     def in_pool(s: Statement) -> bool:
         return _compatible(s, union, r) and _entailed(s, profile, r)
 
-    if lex:
-        def splits(s: Statement) -> bool:
-            return r.consistent(reps + (s,)) and not r.entails(reps, s)
-    else:
-        # The members' rows plus ``s``'s, and plus its complement's: the
-        # same row read the other way round, strictness flipped.
-        rows = r.rows(reps)
-        consistent = r.consistent_rows
-
-        def splits(s: Statement) -> bool:
-            win, lose, strict = row = r.row(s)
-            return consistent(rows + [row]) and consistent(
-                rows + [(lose, win, not strict)]
-            )
-
     for s in lang:
         key = r.equivalence_key(s)
         if key in seen:
             continue
         seen.add(key)
-        if splits(s) and in_pool(s):
+        if not r.consistent(reps + (s,)) or r.entails(reps, s):
+            continue
+        if in_pool(s):
             return FAIL if all(in_pool(m) for m in reps) else NOT_CHECKED
     return PASS

@@ -36,7 +36,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .domain import (
     Alternative,
@@ -356,8 +356,9 @@ class Reasoner:
     and a strict statement over one pair share its row; ``row`` hands a
     statement its pair's row plus its strictness, the ``(win, lose, strict)``
     that ``_greedy`` reads. Each alternative's folds over all variable
-    subsets are computed once too. Inner questions (``consistent_rows``, and
-    ``midground``'s pair test and searches) then run on lists of rows.
+    subsets are computed once too. Inner questions (``consistent_rows``,
+    ``consistent_with_each``, ``nontrivial_pairs``, and ``midground``'s
+    searches) then run on rows.
 
     The request's deadline (``limits.timeout_ms``) is armed once, when the
     reasoner is made, and every greedy call and ``check_deadline`` reads it,
@@ -421,8 +422,14 @@ class Reasoner:
 
     def row(self, s: Statement) -> tuple[int, int, bool]:
         """``s``'s row: where its left side wins, where it loses, and
-        whether ``s`` is strict. Kept per statement, so asking again is one
-        lookup."""
+        whether ``s`` is strict.
+
+        Rows are kept per statement as well as per pair: a request asks
+        for the same statements' rows over and over (each premise set of
+        an entailment, each pool statement's class and key), and one
+        lookup on a statement is cheaper than building and hashing a pair
+        key and a new row tuple each time.
+        """
         return self._rows.get(s) or self._add_row(s)
 
     def _add_row(self, s: Statement) -> tuple[int, int, bool]:
@@ -477,6 +484,61 @@ class Reasoner:
         if not holds:
             return Triviality.CONTRADICTION
         return Triviality.NON_TRIVIAL
+
+    def nontrivial_pairs(self) -> Iterator[tuple[Alternative, Alternative, bool]]:
+        """``(a, b, strict)`` for each non-trivial hierarchical statement
+        between two alternatives of the space, ``a`` in the outer loop, then
+        ``b``, weak before strict.
+
+        ``_classify_row``'s rule on the pair's row: the weak ``a >= b`` is
+        non-trivial when ``a`` loses at some level but not at all, the
+        strict ``a > b`` when it wins at some level but not at all. Under
+        the sum combiner ``classify`` reads per-variable signs instead; the
+        verdicts agree, since a subset sum wins everywhere iff every
+        variable does, and loses nowhere iff no variable does. The request's
+        deadline is read once per ``a``. The classification cap is checked
+        before any alternative is built.
+        """
+        self.check_classify_cap()
+        alts = list(self.space.alternatives())
+        everywhere = self.all_levels
+        pair_row = self.pair_row
+        for a in alts:
+            self.check_deadline()
+            for b in alts:
+                win, lose = pair_row(a, b)
+                if lose and lose != everywhere:
+                    yield a, b, False
+                if win and win != everywhere:
+                    yield a, b, True
+
+    def consistent_with_each(
+        self, s: Statement, others: Sequence[Statement]
+    ) -> bool:
+        """Whether ``{s, u}`` is consistent for every ``u`` in ``others``,
+        each of ``others`` being consistent alone.
+
+        Under hierarchical models this is a test on rows, with no greedy. A
+        contradiction ``s`` is consistent with nothing. Otherwise let ``s``
+        and ``u`` have rows ``(ws, ls)`` and ``(wu, lu)``. If either is
+        strict, ``{s, u}`` is consistent iff ``(ws | wu) & ~(ls | lu)`` is
+        non-zero; if both are weak, iff some level is in neither ``ls`` nor
+        ``lu``. The first is the greedy's first step: the greedy is
+        complete, so with no such level the pair is inconsistent; with one,
+        each row left pending ties there and, being consistent alone,
+        finishes on its own (a lone statement that is not a contradiction
+        always does). The second is the greedy's all-weak fallback.
+        """
+        if self.model_class == "lex":
+            return all(self.consistent((s, u)) for u in others)
+        if self._classify_row(s) is Triviality.CONTRADICTION:
+            return not others
+        ws, ls, strict = self.row(s)
+        everywhere = self.all_levels
+        for wu, lu, strict_u in self.rows(others):
+            if not (ws | wu if strict or strict_u else everywhere) & ~(ls | lu):
+                return False
+        return True
 
     def consistent(self, statements: Sequence[Statement]) -> bool:
         """Whether ``statements`` have a common model: the verdict alone.

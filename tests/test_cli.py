@@ -314,6 +314,26 @@ def test_timeout_binds_the_whole_request(argv, data_dir):
     assert time.monotonic() - t0 < 10
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["mg-exists"], ["mg-construct", "--language", "candidates"]],
+    ids=["mg-exists", "mg-construct-candidates"],
+)
+def test_large_hierarchical_language_refused_up_front(tmp_path, capsys, argv):
+    """10^8 alternatives: the candidate language is refused from the domain
+    sizes, before any alternative is built."""
+    p = tmp_path / "wide.pref"
+    p.write_text("vars a:0..99, b:0..99, c:0..99, d:0..99\ncombiner max\n"
+                 "models hierarchical\n\n"
+                 "stakeholder x {\n  (1,0,0,0) > (0,1,0,0)\n}\n\n"
+                 "stakeholder y {\n  (0,1,0,0) > (1,0,0,0)\n}\n")
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, argv[0], str(p), *argv[1:])
+    assert code == 3
+    assert "full language" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_binary_language_cap_exit_code(lex_file, capsys):
     # lex construction scans the binary language: 2 * 3**3 = 54 statements
     code, _, err = run(capsys, "mg-construct", lex_file, "--max-language", "53")

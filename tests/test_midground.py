@@ -533,6 +533,31 @@ def test_binary_language_capacity():
     assert report.p5.verdict == NOT_CHECKED
 
 
+def test_hier_candidates_refuse_a_large_space_before_building_it(monkeypatch):
+    """Four variables over 0..99 make 10^8 alternatives, so the full language
+    is far over the cap. Existence, the candidate selector and P5 refuse it
+    from the domain sizes alone, without building one alternative."""
+    dom = tuple(range(100))
+    sp = VariableSpace(("a", "b", "c", "d"), (dom,) * 4)
+    up = stmt((1, 0, 0, 0), (0, 1, 0, 0))
+    down = stmt((0, 1, 0, 0), (1, 0, 0, 0))
+    profile = Profile(sp, Combiner("max"), "hier", (
+        Stakeholder("a", (up,)),
+        Stakeholder("b", (down,)),
+    ))
+
+    def refuse(self):
+        raise AssertionError("alternatives built before the language cap")
+
+    monkeypatch.setattr(VariableSpace, "alternatives", refuse)
+    with pytest.raises(CapacityError, match="full language"):
+        exists_mg_hier(profile)
+    with pytest.raises(CapacityError, match="full language"):
+        construct_mgs(profile, "candidates")
+    report = check_postulates((up,), profile, check_p5=True)
+    assert report.p5.verdict == NOT_CHECKED
+
+
 def test_construct_lex_matches_oracle_small():
     rng = random.Random(11)
     done = 0
