@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Sequence
 
-from . import dsl, midground, oracle
+from . import dsl, midground
 from .domain import Profile, Statement, Triviality
 from .errors import (
     CapacityError,
@@ -265,6 +265,8 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
+
     doc, profile = _load_profile(args)
     limits = _load_limits(args)
     sp, c, mc = profile.space, profile.combiner, profile.model_class

@@ -221,6 +221,10 @@ class Combiner:
                             raise DomainMismatchError(
                                 f"table not associative at ({a},{b},{c})"
                             )
+        self._use_table(seen)
+
+    def _use_table(self, seen: dict[tuple[int, int], int]) -> None:
+        """Derive ``op`` and ``rank`` from a checked table, as ``seen``."""
 
         def lookup(a: int, b: int) -> int:
             try:
@@ -262,14 +266,23 @@ class Combiner:
     @classmethod
     def tie_over(cls, values: Iterable[int]) -> "Combiner":
         """Table combiner where every genuine combination lands on one shared
-        sentinel above all declared values, so multi-variable levels always tie."""
+        sentinel above all declared values, so multi-variable levels always tie.
+
+        It equals ``Combiner("table", table=..., universe=...)`` over the same
+        table, but skips that constructor's checks (O(U^2) for U values, and
+        O(U^3) associativity up to 8), which the table passes by construction:
+        it is total, commutative and associative.
+        """
         base = tuple(sorted(set(values)))
         sentinel = base[-1] + 1
         universe = base + (sentinel,)
-        table = tuple(
-            (a, b, sentinel) for a in universe for b in universe
-        )
-        return cls("table", table=table, universe=universe)
+        seen = {(a, b): sentinel for a in universe for b in universe}
+        tie = object.__new__(cls)
+        object.__setattr__(tie, "kind", "table")
+        object.__setattr__(tie, "table", tuple((a, b, sentinel) for a, b in seen))
+        object.__setattr__(tie, "universe", universe)
+        tie._use_table(seen)
+        return tie
 
 
 @dataclass(frozen=True, slots=True)

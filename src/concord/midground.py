@@ -19,26 +19,36 @@ Each entry point asks all its questions of one ``Reasoner``, made for the
 call, so every statement's hierarchical level row is compiled once per
 request and dies with it. A request that makes several calls (``cli``'s
 ``mg-construct --verify``) passes one ``Reasoner`` to the private
-``_construct_mgs`` and ``_check_postulates`` instead.
+``_construct_mgs`` and ``_check_postulates`` instead, and each question is
+asked once per request: what the request has settled about a profile lives
+on its ``Reasoner`` (``_Facts``), namely the stakeholder precondition, the
+union's verdict, the rows of the union and of each stakeholder, P3 and P4
+per equivalence key, and the grounds returned. The postulate audit reads
+those instead of asking again. The default ``full`` language of a
+hierarchical profile is scanned through its non-trivial statements
+(``_hier_candidates``), since only they can join the pool.
 
 The inner questions (P3 compatibility, P4 entailment, the stakeholder
 check, the class search and the P5 split test) read only a verdict, so they
 build no witness. Under hierarchical models they run on the ``Reasoner``'s
-rows: the class search carries a list of rows, and entailment appends the
-complement's row (the statement's row swapped, its strictness flipped).
-P3 needs no greedy at all. For statements ``s`` and ``u`` that are each
-consistent alone, ``{s, u}`` is consistent iff some level is won by either
-and lost by neither when either is strict, or lost by neither when both are
-weak (``_compatible``, ``Reasoner.consistent_with_each``). That is complete
-because the greedy is: it fails only where no such first level exists, and
-after one, each row still pending ties there and, being consistent alone,
-finishes on its own; a lone statement that is not a contradiction always
-does. Union statements meet the precondition once ``_require_nontrivial``
-has passed, and a candidate that is a contradiction is caught first.
+rows: the class search and the P5 split test carry lists of rows, and
+entailment appends the complement's row (the statement's row swapped, its
+strictness flipped). P3 needs no greedy at all. For statements ``s`` and
+``u`` that are each consistent alone, ``{s, u}`` is consistent iff some
+level is won by either and lost by neither when either is strict, or lost
+by neither when both are weak (``Reasoner._pair_consistent``). That is
+complete because the greedy is: it fails only where no such first level
+exists, and after one, each row still pending ties there and, being
+consistent alone, finishes on its own; a lone statement that is not a
+contradiction always does. Union statements meet the precondition once the
+stakeholder check has passed, and a candidate that is a contradiction is
+caught first. P4 for a one-statement stakeholder is the same test, negated,
+on the candidate's complement row (``Reasoner.entailed_by_some``).
 
 What leaves the process is decided by ``Reasoner.is_consistent``, which
 builds a witness and re-checks it statement by statement: every ground
-``construct_mgs`` returns, the union check, and P1 of ``check_postulates``.
+``construct_mgs`` returns, the union check, and P1 of ``check_postulates``
+(for a ground the same request returned, P1 reads that re-check).
 
 The request's deadline (``Limits.timeout_ms``) is armed when its
 ``Reasoner`` is made. The greedy, the candidate-language build, the pool
@@ -65,6 +75,7 @@ from .reasoner import (
     Limits,
     Reasoner,
     _lex_consistent_from_signs,
+    complement_row,
     sign_matrix,
 )
 from .results import (
@@ -84,38 +95,71 @@ def _falsifiable(stmts: Sequence[Statement], r: Reasoner) -> bool:
     return any(r.classify(s) is not Triviality.TAUTOLOGY for s in stmts)
 
 
-def _compatible(s: Statement, union: Sequence[Statement], r: Reasoner) -> bool:
+class _Facts:
+    """What a request has settled about one profile, kept on its
+    ``Reasoner`` (``_facts``) so that construction and the postulate audit
+    ask each question once: the stakeholder precondition (every stakeholder
+    set is consistent and falsifiable, checked when the facts are made), the
+    union and whether it is consistent, the union's and each stakeholder's
+    statements made ready once (``Reasoner.prepare``), the P3 and P4
+    verdicts per ``Reasoner.equivalence_key`` (``verdicts``), and the grounds
+    returned after their re-check."""
+
+    def __init__(self, profile: Profile, r: Reasoner) -> None:
+        if not profile.stakeholders:
+            raise TrivialStakeholderError("profile has no stakeholders")
+        self.stakeholder_rows = []
+        for sh in profile.stakeholders:
+            if not r.consistent(sh.statements):
+                raise TrivialStakeholderError(f"stakeholder {sh.name!r} is inconsistent")
+            if not _falsifiable(sh.statements, r):
+                raise TrivialStakeholderError(
+                    f"stakeholder {sh.name!r} asserts nothing falsifiable"
+                )
+            self.stakeholder_rows.append(r.prepare(sh.statements))
+        self.profile = profile
+        self.union = profile.union_statements()
+        self.union_consistent = r.is_consistent(self.union).consistent
+        self.union_rows = r.prepare(self.union)
+        self.verdicts: dict[tuple, tuple[bool, bool]] = {}
+        self.grounds: set[frozenset[Statement]] = set()
+
+
+def _facts(profile: Profile, r: Reasoner) -> _Facts:
+    """``r``'s facts about ``profile``, settled on first use; a reasoner
+    asked about another profile settles that one's afresh."""
+    facts = r.memo.get("facts")
+    if facts is None or facts.profile is not profile:
+        facts = r.memo["facts"] = _Facts(profile, r)
+    return facts
+
+
+def _compatible(s: Statement, facts: _Facts, r: Reasoner) -> bool:
     """P3 for one statement: consistent with each union statement on its own.
 
     Under hierarchical models this is ``Reasoner.consistent_with_each``'s
-    pair test on rows, with no greedy: for ``s`` and ``u`` each consistent
-    alone, ``{s, u}`` is consistent iff some level is won by either and lost
-    by neither (either strict), or lost by neither (both weak). It is
-    complete because the greedy is, and a lone statement that is not a
-    contradiction always finishes. The precondition holds for every union
-    statement once ``_require_nontrivial`` has passed (each stakeholder set
-    is consistent); a contradiction ``s``, which ``check_postulates`` can
-    be given, is compatible with no statement.
+    pair test on rows, with no greedy. It needs every union statement
+    consistent alone, which holds once the stakeholder precondition has
+    passed (``_Facts``); a contradiction ``s``, which
+    ``check_postulates`` can be given, is compatible with no statement.
     """
-    return r.consistent_with_each(s, union)
+    return r.consistent_with_each(s, facts.union_rows)
 
 
-def _entailed(s: Statement, profile: Profile, r: Reasoner) -> bool:
-    """P4 for one statement: some stakeholder's set entails it."""
-    return any(r.entails(sh.statements, s) for sh in profile.stakeholders)
+def _entailed(s: Statement, facts: _Facts, r: Reasoner) -> bool:
+    """P4 for one statement: some stakeholder's set entails it (under
+    hierarchical models a pair test on rows for a one-statement
+    stakeholder, ``Reasoner.entailed_by_some``)."""
+    return r.entailed_by_some(facts.stakeholder_rows, s)
 
 
-def _require_nontrivial(profile: Profile, r: Reasoner) -> None:
-    """Every stakeholder set must be consistent and falsifiable."""
-    if not profile.stakeholders:
-        raise TrivialStakeholderError("profile has no stakeholders")
-    for sh in profile.stakeholders:
-        if not r.consistent(sh.statements):
-            raise TrivialStakeholderError(f"stakeholder {sh.name!r} is inconsistent")
-        if not _falsifiable(sh.statements, r):
-            raise TrivialStakeholderError(
-                f"stakeholder {sh.name!r} asserts nothing falsifiable"
-            )
+def _verdicts(s: Statement, key: tuple, facts: _Facts, r: Reasoner) -> tuple[bool, bool]:
+    """P3 and P4 for ``s``, asked once per equivalence key ``key`` and
+    request: statements sharing one hold in the same models."""
+    verdicts = facts.verdicts.get(key)
+    if verdicts is None:
+        verdicts = facts.verdicts[key] = (_compatible(s, facts, r), _entailed(s, facts, r))
+    return verdicts
 
 
 def _check_language_size(size: int, limits: Limits, what: str = "language") -> None:
@@ -126,13 +170,14 @@ def _check_language_size(size: int, limits: Limits, what: str = "language") -> N
         )
 
 
-def _check_full_language(space: VariableSpace, limits: Limits) -> None:
+def _check_full_language(space: VariableSpace, limits: Limits) -> int:
     """The ``max_language`` cap on the full language, from the domain sizes
-    alone, so nothing is built when it is refused."""
+    alone, so nothing is built when it is refused; returns its size."""
     n_alts = 1
     for dom in space.domains:
         n_alts *= len(dom)
     _check_language_size(2 * n_alts * n_alts, limits, "full language")
+    return 2 * n_alts * n_alts
 
 
 def full_language(
@@ -214,13 +259,12 @@ def _hier_candidates(r: Reasoner) -> tuple[Statement, ...]:
 
 def _nontrivial_language(r: Reasoner) -> tuple[Statement, ...]:
     """The non-trivial statements of ``full_language``, in its order, read
-    off pair rows (``Reasoner.nontrivial_pairs``): each pair of sides is
-    compiled once, with its swapped pair, and a ``Statement`` is built only
-    for the non-trivial ones. The language and classification caps are
-    checked before any alternative is built.
+    off pair rows (``Reasoner.nontrivial_statements``): a ``Statement`` is
+    built only for the non-trivial ones. The language and classification
+    caps are checked before any alternative is built.
     """
     _check_full_language(r.space, r.limits)
-    return tuple(Statement(a, b, strict) for a, b, strict in r.nontrivial_pairs())
+    return tuple(r.nontrivial_statements())
 
 
 def _candidate_pool(
@@ -229,22 +273,17 @@ def _candidate_pool(
     """Language statements passing the three per-statement filters, lazily
     and in language order.
 
-    Statements sharing a ``Reasoner.equivalence_key`` hold in the same
-    models, so the compatibility and entailment filters run once per key.
+    The compatibility and entailment filters run once per
+    ``Reasoner.equivalence_key`` (``_verdicts``). ``language`` holds no
+    duplicates.
     """
-    union = profile.union_statements()
-    verdicts: dict[tuple, bool] = {}
-    for i, s in enumerate(dedupe_statements(language)):
+    facts = _facts(profile, r)
+    for i, s in enumerate(language):
         if not i & 1023:
             r.check_deadline()
         if r.classify(s) is not Triviality.NON_TRIVIAL:
             continue
-        key = r.equivalence_key(s)
-        passes = verdicts.get(key)
-        if passes is None:
-            passes = _compatible(s, union, r) and _entailed(s, profile, r)
-            verdicts[key] = passes
-        if passes:
+        if all(_verdicts(s, r.equivalence_key(s), facts, r)):
             yield s
 
 
@@ -343,8 +382,7 @@ def exists_mg_hier(
     if profile.model_class != "hier":
         raise DomainMismatchError("exists_mg_hier needs a hierarchical profile")
     r = Reasoner(profile.space, profile.combiner, profile.model_class, limits)
-    _require_nontrivial(profile, r)
-    if r.is_consistent(profile.union_statements()).consistent:
+    if _facts(profile, r).union_consistent:
         return ExistenceResult(True, via_union=True)
     cands = _hier_candidates(r)
     witness = next(_candidate_pool(profile, cands, r), None)
@@ -411,18 +449,24 @@ def construct_mgs(
 
 def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
     """``construct_mgs``, asking every question of ``r``."""
-    _require_nontrivial(profile, r)
-    union = profile.union_statements()
-    if r.is_consistent(union).consistent:
+    facts = _facts(profile, r)
+    if facts.union_consistent:
+        facts.grounds.add(frozenset(facts.union))
         return MiddleGroundSet(
-            grounds=canonical_grounds((union,)),
+            grounds=canonical_grounds((facts.union,)),
             exhaustive=True,
             stats={"via_union": True},
         )
-    lang, exhaustive = _resolve_language(profile, language, r)
+    if language in (None, "full") and profile.model_class == "hier":
+        # Only non-trivial statements can join the pool: the full language's, in its order.
+        size = _check_full_language(r.space, r.limits)
+        lang, exhaustive = _hier_candidates(r), True
+    else:
+        lang, exhaustive = _resolve_language(profile, language, r)
+        size = len(lang)
     pool = tuple(_candidate_pool(profile, lang, r))
     stats: dict = {
-        "language": len(lang),
+        "language": size,
         "pool": len(pool),
         "via_union": False,
     }
@@ -479,6 +523,7 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
     for ground in grounds:
         if not r.is_consistent(ground).consistent:
             raise RuntimeError("internal error: middle ground failed re-check")
+        facts.grounds.add(frozenset(ground))
     return MiddleGroundSet(
         grounds=canonical_grounds(grounds), exhaustive=exhaustive, stats=stats
     )
@@ -508,28 +553,25 @@ def check_postulates(
 def _check_postulates(
     candidate: Sequence[Statement], profile: Profile, check_p5: bool, r: Reasoner
 ) -> PostulateReport:
-    """``check_postulates``, asking every question of ``r``."""
-    _require_nontrivial(profile, r)
+    """``check_postulates``, asking every question of ``r``: what the
+    request already settled (``_Facts``) is read, not asked again."""
+    facts = _facts(profile, r)
     cand = dedupe_statements(candidate)
-    union = profile.union_statements()
 
-    consistent = r.is_consistent(cand).consistent
+    # A ground this request returned was re-checked then.
+    consistent = frozenset(cand) in facts.grounds or r.is_consistent(cand).consistent
     falsifiable = _falsifiable(cand, r)
     p1 = PostulateCheck(PASS if consistent and falsifiable else FAIL)
 
-    union_consistent = r.is_consistent(union).consistent
-    if union_consistent:
-        p2 = PostulateCheck(PASS if r.equivalent(cand, union) else FAIL)
+    if facts.union_consistent:
+        p2 = PostulateCheck(PASS if r.equivalent(cand, facts.union) else FAIL)
     else:
         p2 = PostulateCheck(PASS)
 
-    # Statements sharing an equivalence key hold in the same models, so P3
-    # and P4 are asked once per key.
+    # P3 and P4 are asked once per equivalence key and request: the pool
+    # filter has asked them of every member of a ground it returned.
     keys = [r.equivalence_key(s) for s in cand]
-    verdicts: dict[tuple, tuple[bool, bool]] = {}
-    for s, key in zip(cand, keys):
-        if key not in verdicts:
-            verdicts[key] = (_compatible(s, union, r), _entailed(s, profile, r))
+    verdicts = {key: _verdicts(s, key, facts, r) for s, key in zip(cand, keys)}
 
     p3_bad = tuple(s for s, key in zip(cand, keys) if not verdicts[key][0])
     p3 = PostulateCheck(PASS if not p3_bad else FAIL, p3_bad)
@@ -539,11 +581,11 @@ def _check_postulates(
 
     if not check_p5:
         p5 = PostulateCheck(NOT_CHECKED)
-    elif union_consistent:
+    elif facts.union_consistent:
         # Any competing set must be equivalent to the union, so maximality
         # fails exactly when the union says strictly more than the candidate.
-        union_stronger = all(r.entails(union, s) for s in cand) and not all(
-            r.entails(cand, u) for u in union
+        union_stronger = all(r.entails(facts.union, s) for s in cand) and not all(
+            r.entails(cand, u) for u in facts.union
         )
         p5 = PostulateCheck(FAIL if union_stronger else PASS)
     elif not consistent:
@@ -551,13 +593,13 @@ def _check_postulates(
         p5 = PostulateCheck(PASS)
     else:
         try:
-            p5 = PostulateCheck(_p5_verdict(cand, profile, r))
+            p5 = PostulateCheck(_p5_verdict(cand, facts, r))
         except CapacityError:
             p5 = PostulateCheck(NOT_CHECKED)
     return PostulateReport(p1, p2, p3, p4, p5)
 
 
-def _p5_verdict(cand: Sequence[Statement], profile: Profile, r: Reasoner) -> str:
+def _p5_verdict(cand: Sequence[Statement], facts: _Facts, r: Reasoner) -> str:
     """P5 for a consistent candidate when the union is inconsistent.
 
     The pool is the default language's non-trivial statements that pass P3
@@ -576,8 +618,10 @@ def _p5_verdict(cand: Sequence[Statement], profile: Profile, r: Reasoner) -> str
     Equivalent statements split alike and pass the filters alike, so the
     scan asks about one statement per ``Reasoner.equivalence_key``, and the
     members shrink to one per key as well; keys the candidate holds are
-    entailed and skipped. The split test (two greedy calls) runs before the
-    filters, which only the splitters reach.
+    entailed and skipped. The members' rows are made once, and the split
+    test is two verdicts on them plus ``s``'s row, then its complement row
+    (``reasoner.complement_row``). Only splitters reach the filters, whose
+    verdicts ``_verdicts`` keeps for the request.
     """
     members = {
         r.equivalence_key(s): s
@@ -586,20 +630,17 @@ def _p5_verdict(cand: Sequence[Statement], profile: Profile, r: Reasoner) -> str
     }
     reps = tuple(members.values())
     seen = set(members)
-    lex = profile.model_class == "lex"
+    lex = r.model_class == "lex"
     lang = binary_language(r.space, r.limits) if lex else _hier_candidates(r)
-    union = profile.union_statements()
-
-    def in_pool(s: Statement) -> bool:
-        return _compatible(s, union, r) and _entailed(s, profile, r)
-
-    for s in lang:
+    rows, consistent = r.search_rows(reps + lang)
+    taken = rows[: len(reps)]
+    for s, row in zip(lang, rows[len(reps):]):
         key = r.equivalence_key(s)
         if key in seen:
             continue
         seen.add(key)
-        if not r.consistent(reps + (s,)) or r.entails(reps, s):
-            continue
-        if in_pool(s):
-            return FAIL if all(in_pool(m) for m in reps) else NOT_CHECKED
+        split = consistent(taken + [row]) and consistent(taken + [complement_row(row)])
+        if split and all(_verdicts(s, key, facts, r)):
+            every = all(all(_verdicts(m, k, facts, r)) for k, m in members.items())
+            return FAIL if every else NOT_CHECKED
     return PASS

@@ -9,10 +9,8 @@ in place of variables: it appends the first canonical level at which some
 pending statement wins and none loses. That needs levels to be free to
 overlap, as ``models`` and ``oracle`` allow; ``is_consistent_hier`` gives
 the argument. It reads each statement's win and lose levels from rows that a
-``Reasoner`` compiles once per pair of sides (the swapped pair's row is the
-same two masks swapped, and a weak and a strict statement over one pair
-differ only in the strictness their row carries), and scans all 2^n - 1
-levels, so it stays exponential in the number of variables.
+``Reasoner`` compiles once per statement, and scans all 2^n - 1 levels, so it
+stays exponential in the number of variables.
 
 Both run one kernel, ``_greedy``, on rows of two Python ints per statement:
 the steps at which its left side wins and those at which it loses, one bit
@@ -28,15 +26,22 @@ where side ``a`` beats side ``b`` are ``top ^ lanes_at_most(a, b, top)``,
 all variables in four operations; ``domain.lanes_at_most`` states why, and
 its precondition that every packed value sits below its lane's top bit. A
 statement's signs are the top bits of its win and lose lanes.
+
+Hierarchical rows come from the same kernel. A ``Reasoner`` packs each
+alternative's folds over the canonical levels into one int, a lane per
+level, of one width for the whole request (``Reasoner._lane_shape``), and a
+pair's win and lose levels are ``lanes_at_most`` both ways, compacted to
+one bit per level (``Reasoner._pair_row``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .domain import (
     Alternative,
@@ -250,6 +255,13 @@ def _greedy(
     return path, pending, False
 
 
+def complement_row(row: tuple[int, int, bool]) -> tuple[int, int, bool]:
+    """The row of a statement's complement (``domain.complement``), from the
+    statement's row, hierarchical or lexicographic: its wins and losses
+    swapped, its strictness flipped."""
+    return row[1], row[0], not row[2]
+
+
 def _lowest_safe(rows: list[tuple[int, int, bool]], everything: int) -> int:
     """The lowest bit of ``everything`` at which no row loses, or 0."""
     lose = 0
@@ -337,10 +349,9 @@ def _canonical_levels(n: int) -> list[int]:
     return levels
 
 
-# Sign + 1 (0, 1, 2 for lose, tie, win) to the binary digit of a win or a
-# lose row.
-_WIN_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"001")
-_LOSE_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"100")
+# A lane's top byte, read as the binary digit of a win or a lose row: set
+# (at most) is 0, clear (strictly above) is 1.
+_ABOVE_DIGITS = bytes.maketrans(b"\x00\x80", b"10")
 
 
 class Reasoner:
@@ -348,24 +359,26 @@ class Reasoner:
     combiner, model class and set of limits: one request.
 
     Lexicographic questions go to the lexicographic functions above. Under
-    hierarchical models every pair of sides met is compiled once, on first
-    use, into its *row*: the canonical levels (``_canonical_levels``) at
-    which the left side wins and those at which it loses, as two bitmasks
-    whose bit ``j`` is canonical level ``j``. The swapped pair's row is the
-    same two masks the other way round, stored at the same time, and a weak
-    and a strict statement over one pair share its row; ``row`` hands a
-    statement its pair's row plus its strictness, the ``(win, lose, strict)``
-    that ``_greedy`` reads. Each alternative's folds over all variable
-    subsets are computed once too. Inner questions (``consistent_rows``,
-    ``consistent_with_each``, ``nontrivial_pairs``, and ``midground``'s
-    searches) then run on rows.
+    hierarchical models each statement is compiled once, on first use, into
+    its *row*: the canonical levels (``_canonical_levels``) at which its left
+    side wins and those at which it loses, as two bitmasks whose bit ``j`` is
+    canonical level ``j``, plus its strictness: the ``(win, lose, strict)``
+    that ``_greedy`` reads. Rows come from one kernel, the borrow trick of the
+    lexicographic engine. Each alternative met is packed once
+    (``_packed``): its folds over the canonical levels, lane ``j`` holding
+    level ``j``'s, in lanes of one width fixed before any alternative is
+    packed (``_lane_shape``). A pair's row is then ``lanes_at_most`` both
+    ways, each lane's top byte read as one binary digit (``_pair_row``).
+    Inner questions (``consistent_rows``, ``consistent_with_each``,
+    ``entailed_by_some``, ``nontrivial_statements``, and ``midground``'s
+    searches) run on rows.
 
     The request's deadline (``limits.timeout_ms``) is armed once, when the
     reasoner is made, and every greedy call and ``check_deadline`` reads it,
     so the timeout binds the whole request. Nothing outlives the object: it
-    holds the rows it compiled and ``memo``, which keeps what callers derive
-    once per request from the space and combiner (``midground``'s
-    non-trivial candidate language).
+    holds the lanes and rows it compiled and ``memo``, which keeps what
+    callers derive once per request (``midground``'s non-trivial candidate
+    language, and what it has settled about a profile).
     """
 
     def __init__(
@@ -382,8 +395,7 @@ class Reasoner:
         self.deadline = None
         if limits.timeout_ms is not None:
             self.deadline = time.monotonic() + limits.timeout_ms / 1000.0
-        self._folds: dict[Alternative, list[int]] = {}
-        self._pairs: dict[tuple[Alternative, Alternative], tuple[int, int]] = {}
+        self._lanes: dict[tuple[int, ...], int] = {}
         self._rows: dict[Statement, tuple[int, int, bool]] = {}
         self.memo: dict[str, object] = {}
 
@@ -402,50 +414,67 @@ class Reasoner:
         """Every canonical level's bit."""
         return (1 << len(self.levels)) - 1
 
-    def pair_row(self, a: Alternative, b: Alternative) -> tuple[int, int]:
-        """The levels at which side ``a`` beats side ``b``, and at which it
-        loses. Compiling it stores ``(b, a)``'s row as well."""
-        row = self._pairs.get((a, b))
-        if row is None:
-            af, bf = self._fold(a), self._fold(b)
-            compare = self.c.compare_values
-            # One digit per level, reversed to put level 0 last, parsed in
-            # base 2: linear in the number of levels, where setting bits one
-            # at a time on a growing int is quadratic.
-            signs = bytes([compare(af[mask], bf[mask]) + 1 for mask in self.levels])
-            signs = signs[::-1]
-            win = int(signs.translate(_WIN_DIGITS), 2)
-            lose = int(signs.translate(_LOSE_DIGITS), 2)
-            self._pairs[b, a] = (lose, win)
-            row = self._pairs[a, b] = (win, lose)
-        return row
+    @functools.cached_property
+    def _lane_shape(self) -> tuple[int, int, int, int, int]:
+        """The lanes of a packed alternative: the bias added to each fold, the
+        highest value a lane may hold, the bytes per lane and per alternative,
+        and every lane's top bit.
+
+        Table folds are packed as their rank in the universe. Built-in folds
+        are biased by a bound on every subset fold over the space's domains,
+        the product of max(|lo|, |hi|, 2) over the variables. It bounds sums
+        (a + b <= ab for a, b >= 2), products, minima and maxima, and, with
+        two variables or more, bitwise and and or, which stay within the
+        two's-complement width of their arguments. Lanes are whole bytes with
+        the highest value below the top bit, as ``lanes_at_most`` needs.
+        """
+        rank, nlevels = self.c.rank, len(self.levels)
+        bias = 0 if rank else math.prod(max(abs(d[0]), abs(d[-1]), 2) for d in self.space.domains)
+        most = len(rank) - 1 if rank else 2 * bias
+        nbytes = (most.bit_length() + 8) // 8
+        return bias, most, nbytes, nlevels * nbytes, _top_bits(nlevels, 8 * nbytes)
+
+    def _packed(self, alt: Alternative) -> int:
+        """``alt``'s folds over the canonical levels, lane ``j`` holding level
+        ``j``'s, packed once per request. A value the lanes cannot hold (one
+        outside a table's universe, or a built-in fold beyond the bound that
+        the domains give) is refused."""
+        lanes = self._lanes.get(alt.values)
+        if lanes is None:
+            bias, most, nbytes, _, _ = self._lane_shape
+            folds = _subset_folds(alt, self.space.size, self.c)
+            rank = self.c.rank
+            vals = [rank.get(folds[m], -1) if rank else folds[m] + bias for m in self.levels]
+            if min(vals) < 0 or max(vals) > most:
+                raise DomainMismatchError(f"alternative {alt} is outside the universe or domains")
+            packed = b"".join(v.to_bytes(nbytes, "little") for v in vals)
+            lanes = self._lanes[alt.values] = int.from_bytes(packed, "little")
+        return lanes
+
+    def _pair_row(self, a: int, b: int) -> tuple[int, int]:
+        """The levels at which packed side ``a`` beats packed side ``b``, and
+        at which it loses, one bit per level: ``lanes_at_most`` both ways,
+        with each lane's top byte (every ``nbytes``-th byte, big-endian, from
+        the highest lane down) read as one binary digit."""
+        _, _, nbytes, size, top = self._lane_shape
+        win = lanes_at_most(a, b, top).to_bytes(size, "big")[::nbytes]
+        lose = lanes_at_most(b, a, top).to_bytes(size, "big")[::nbytes]
+        return int(win.translate(_ABOVE_DIGITS), 2), int(lose.translate(_ABOVE_DIGITS), 2)
 
     def row(self, s: Statement) -> tuple[int, int, bool]:
         """``s``'s row: where its left side wins, where it loses, and
-        whether ``s`` is strict.
-
-        Rows are kept per statement as well as per pair: a request asks
-        for the same statements' rows over and over (each premise set of
-        an entailment, each pool statement's class and key), and one
-        lookup on a statement is cheaper than building and hashing a pair
-        key and a new row tuple each time.
-        """
+        whether ``s`` is strict, compiled once per request."""
         return self._rows.get(s) or self._add_row(s)
 
     def _add_row(self, s: Statement) -> tuple[int, int, bool]:
-        row = self._rows[s] = self.pair_row(s.left, s.right) + (s.strict,)
+        row = self._pair_row(self._packed(s.left), self._packed(s.right)) + (s.strict,)
+        self._rows[s] = row
         return row
 
     def rows(self, statements: Sequence[Statement]) -> list[tuple[int, int, bool]]:
         """The statements' rows, in order."""
         get = self._rows.get
         return [get(s) or self._add_row(s) for s in statements]
-
-    def _fold(self, alt: Alternative) -> list[int]:
-        folds = self._folds.get(alt)
-        if folds is None:
-            folds = self._folds[alt] = _subset_folds(alt, self.space.size, self.c)
-        return folds
 
     def classify(self, s: Statement) -> Triviality:
         """Tautology / contradiction / non-trivial, over the model class.
@@ -485,60 +514,90 @@ class Reasoner:
             return Triviality.CONTRADICTION
         return Triviality.NON_TRIVIAL
 
-    def nontrivial_pairs(self) -> Iterator[tuple[Alternative, Alternative, bool]]:
-        """``(a, b, strict)`` for each non-trivial hierarchical statement
-        between two alternatives of the space, ``a`` in the outer loop, then
-        ``b``, weak before strict.
+    def nontrivial_statements(self) -> list[Statement]:
+        """The non-trivial hierarchical statements between two alternatives
+        of the space, ``a`` in the outer loop, then ``b``, weak before
+        strict, each with its row stored.
 
         ``_classify_row``'s rule on the pair's row: the weak ``a >= b`` is
         non-trivial when ``a`` loses at some level but not at all, the
         strict ``a > b`` when it wins at some level but not at all. Under
         the sum combiner ``classify`` reads per-variable signs instead; the
         verdicts agree, since a subset sum wins everywhere iff every
-        variable does, and loses nowhere iff no variable does. The request's
+        variable does, and loses nowhere iff no variable does. The walk is
+        over a list of packed alternatives, with no lookups. The request's
         deadline is read once per ``a``. The classification cap is checked
         before any alternative is built.
         """
         self.check_classify_cap()
         alts = list(self.space.alternatives())
+        packed = [self._packed(a) for a in alts]
         everywhere = self.all_levels
-        pair_row = self.pair_row
-        for a in alts:
+        pair_row, found = self._pair_row, {}
+        for a, pa in zip(alts, packed):
             self.check_deadline()
-            for b in alts:
-                win, lose = pair_row(a, b)
+            for b, pb in zip(alts, packed):
+                win, lose = pair_row(pa, pb)
                 if lose and lose != everywhere:
-                    yield a, b, False
+                    found[Statement(a, b, False)] = (win, lose, False)
                 if win and win != everywhere:
-                    yield a, b, True
+                    found[Statement(a, b, True)] = (win, lose, True)
+        self._rows.update(found)
+        return list(found)
 
-    def consistent_with_each(
-        self, s: Statement, others: Sequence[Statement]
-    ) -> bool:
-        """Whether ``{s, u}`` is consistent for every ``u`` in ``others``,
-        each of ``others`` being consistent alone.
+    def prepare(self, statements: Sequence[Statement]) -> Sequence:
+        """The statements as ``consistent_with_each`` and ``entailed_by_some``
+        take them, so that a set asked about again and again is made ready
+        once: their rows under hierarchical models, the statements
+        themselves under lexicographic ones."""
+        return statements if self.model_class == "lex" else self.rows(statements)
 
-        Under hierarchical models this is a test on rows, with no greedy. A
-        contradiction ``s`` is consistent with nothing. Otherwise let ``s``
-        and ``u`` have rows ``(ws, ls)`` and ``(wu, lu)``. If either is
-        strict, ``{s, u}`` is consistent iff ``(ws | wu) & ~(ls | lu)`` is
-        non-zero; if both are weak, iff some level is in neither ``ls`` nor
-        ``lu``. The first is the greedy's first step: the greedy is
-        complete, so with no such level the pair is inconsistent; with one,
-        each row left pending ties there and, being consistent alone,
-        finishes on its own (a lone statement that is not a contradiction
-        always does). The second is the greedy's all-weak fallback.
+    def _pair_consistent(self, a: tuple[int, int, bool], b: tuple[int, int, bool]) -> bool:
+        """Whether two rows, each of a statement consistent alone, are
+        consistent together: some level is won by either and lost by neither
+        when either is strict, or lost by neither when both are weak.
+
+        The first is the greedy's first step: the greedy is complete, so with
+        no such level the pair is inconsistent; with one, each row left
+        pending ties there and, being consistent alone, finishes on its own
+        (a lone statement that is not a contradiction always does). The
+        second is the greedy's all-weak fallback.
+        """
+        return bool((a[0] | b[0] if a[2] or b[2] else self.all_levels) & ~(a[1] | b[1]))
+
+    def consistent_with_each(self, s: Statement, others: Sequence) -> bool:
+        """Whether ``{s, u}`` is consistent for every ``u`` in ``others``
+        (given as ``prepare`` makes them), each consistent alone.
+
+        Under hierarchical models this is ``_pair_consistent`` on rows, with
+        no greedy. A contradiction ``s`` is consistent with nothing.
         """
         if self.model_class == "lex":
             return all(self.consistent((s, u)) for u in others)
         if self._classify_row(s) is Triviality.CONTRADICTION:
             return not others
-        ws, ls, strict = self.row(s)
-        everywhere = self.all_levels
-        for wu, lu, strict_u in self.rows(others):
-            if not (ws | wu if strict or strict_u else everywhere) & ~(ls | lu):
-                return False
-        return True
+        row = self.row(s)
+        return all(self._pair_consistent(row, u) for u in others)
+
+    def entailed_by_some(self, premise_sets: Sequence[Sequence], s: Statement) -> bool:
+        """Whether some set of ``premise_sets`` (each consistent, and given as
+        ``prepare`` makes it) entails ``s``.
+
+        Under hierarchical models a set entails ``s`` when its rows plus
+        ``s``'s complement row (``entails``) are inconsistent. For a set of
+        one statement that is ``_pair_consistent`` negated, with no greedy:
+        the complement is consistent alone unless ``s`` is a tautology, and
+        every set entails a tautology.
+        """
+        if self.model_class == "lex":
+            return any(self.entails(premises, s) for premises in premise_sets)
+        if self._classify_row(s) is Triviality.TAUTOLOGY:
+            return True
+        neg = complement_row(self.row(s))
+        return not all(
+            self._pair_consistent(rows[0], neg) if len(rows) == 1
+            else self.consistent_rows(rows + [neg]) for rows in premise_sets
+        )
 
     def consistent(self, statements: Sequence[Statement]) -> bool:
         """Whether ``statements`` have a common model: the verdict alone.
@@ -641,8 +700,7 @@ class Reasoner:
         strictness flipped."""
         if self.model_class == "lex":
             return not self.consistent(tuple(premises) + (complement(s),))
-        win, lose, strict = self.row(s)
-        return not self.consistent_rows(self.rows(premises) + [(lose, win, not strict)])
+        return not self.consistent_rows(self.rows(premises) + [complement_row(self.row(s))])
 
     def equivalent(
         self, first: Sequence[Statement], second: Sequence[Statement]

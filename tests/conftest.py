@@ -12,7 +12,7 @@ from concord.domain import (
     Statement,
     VariableSpace,
 )
-from concord.reasoner import DEFAULT_LIMITS, classify, is_consistent
+from concord.reasoner import DEFAULT_LIMITS, _canonical_levels, classify, is_consistent
 from concord.domain import Triviality
 
 settings.register_profile(
@@ -53,6 +53,28 @@ def lane_signs(signs, i: int) -> tuple[int, ...]:
     win, lose, _ = signs.rows[i]
     tops = [(v + 1) * signs.width - 1 for v in range(signs.nvars)]
     return tuple((win >> t & 1) - (lose >> t & 1) for t in tops)
+
+
+# Sign + 1 (0, 1, 2 for lose, tie, win) to the binary digit of a win or a
+# lose row.
+_WIN_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"001")
+_LOSE_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"100")
+
+
+def reference_row(s: Statement, space: VariableSpace, c: Combiner) -> tuple:
+    """``s``'s hierarchical row compiled level by level, the reference for
+    ``Reasoner.row``: both sides folded with ``Combiner.fold`` over each
+    canonical level and compared with ``Combiner.compare_values``, one digit
+    per level (level 0 last), parsed in base 2."""
+    n = space.size
+    signs = bytes(
+        c.compare_values(
+            c.fold([s.left.values[v] for v in range(n) if mask >> v & 1]),
+            c.fold([s.right.values[v] for v in range(n) if mask >> v & 1]),
+        ) + 1
+        for mask in _canonical_levels(n)
+    )[::-1]
+    return int(signs.translate(_WIN_DIGITS), 2), int(signs.translate(_LOSE_DIGITS), 2), s.strict
 
 
 def random_statement(rng: random.Random, space: VariableSpace) -> Statement:

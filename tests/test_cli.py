@@ -456,3 +456,15 @@ def test_runs_without_numpy(tmp_path):
     outs = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [o["command"] for o in outs] == ["mg-exists", "mg-construct"] * 2
     assert [o["verdict"] for o in outs] == ["exists"] * 4
+
+
+def test_cli_imports_the_oracle_only_for_its_subcommand():
+    """Every ``concord`` process imports ``cli``; the brute-force oracle is
+    imported by the ``oracle`` subcommand alone."""
+    env = dict(os.environ, PYTHONPATH=str(Path(concord.__file__).parents[1]))
+    code = "import sys, concord.cli; print('concord.oracle' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -194,6 +194,33 @@ class TestCombiner:
         assert c.fold((0,)) == 0
         assert c.compare_values(c.fold((0, 1)), c.fold((1, 1))) == 0
 
+    @pytest.mark.parametrize(
+        "values", [(3,), (0, 1), tuple(range(-4, 5)), tuple(range(256))],
+        ids=["1", "2", "9", "256"],
+    )
+    def test_tie_over_equals_the_checked_table(self, values):
+        # tie_over skips the generic table checks; it builds the same
+        # combiner that the checked constructor does, with the same errors.
+        c = Combiner.tie_over(values)
+        universe = tuple(sorted(values)) + (max(values) + 1,)
+        table = tuple((a, b, universe[-1]) for a in universe for b in universe)
+        ref = Combiner("table", table=table, universe=universe)
+        assert c == ref and c.rank == ref.rank
+        for a, b in itertools.product(universe[:3] + universe[-2:], repeat=2):
+            assert c.op(a, b) == ref.op(a, b)
+        outside = universe[-1] + 1
+        for call in (
+            lambda k: k.fold((values[0], outside)),
+            lambda k: k.fold((outside,)),
+            lambda k: k.op(outside, values[0]),
+            lambda k: k.compare_values(values[0], outside),
+        ):
+            with pytest.raises(DomainMismatchError) as got:
+                call(c)
+            with pytest.raises(DomainMismatchError) as want:
+                call(ref)
+            assert str(got.value) == str(want.value)
+
     def test_unknown_kind(self):
         with pytest.raises(DomainMismatchError):
             Combiner("xor")

@@ -30,7 +30,7 @@ from concord.midground import (
     hier_candidates,
     lex_candidates,
 )
-from concord.oracle import brute_consistent, brute_mgs, brute_p5
+from concord.oracle import brute_consistent, brute_entails, brute_mgs, brute_p5
 from concord.reasoner import (
     Limits,
     Reasoner,
@@ -41,7 +41,7 @@ from concord.reasoner import (
 )
 from concord.results import FAIL, NOT_CHECKED, PASS
 from concord.gadgets import nonexistence_fixture, nonuniqueness_fixture
-from conftest import random_profile, stmt
+from conftest import random_profile, reference_row, stmt
 
 SUM = Combiner("sum")
 SP2 = VariableSpace.binary(("x", "y"))
@@ -150,8 +150,9 @@ def _combiner(kind, dom):
 @pytest.mark.parametrize("kind", BUILTIN_KINDS + ("tie",))
 def test_row_built_candidates_match_the_classified_full_language(kind):
     """The candidates read off pair rows are the full language's non-trivial
-    statements, in its order, and every row the build stored, the swapped
-    pairs' included, is what a fresh reasoner compiles."""
+    statements, in its order; the build stores the row of each and of no
+    other statement, each the reference compile's, and every statement of
+    the language gets the reference row."""
     for sp in _small_spaces():
         c = _combiner(kind, sp.domains[0])
         ref = Reasoner(sp, c)
@@ -160,13 +161,11 @@ def test_row_built_candidates_match_the_classified_full_language(kind):
         )
         r = Reasoner(sp, c)
         assert midground._hier_candidates(r) == expected
-        for s in expected:
-            r.row(s)
-        assert len(r._pairs) == len(list(sp.alternatives())) ** 2
-        for (a, b), row in r._pairs.items():
-            assert row == Reasoner(sp, c).pair_row(a, b)
+        assert set(r._rows) == set(expected)
         for s, row in r._rows.items():
-            assert row == Reasoner(sp, c).row(s)
+            assert row == reference_row(s, sp, c)
+        for s in full_language(sp):
+            assert r.row(s) == reference_row(s, sp, c)
 
 
 @st.composite
@@ -201,9 +200,26 @@ def _p3_cases(draw):
 def test_p3_pair_test_matches_greedy_and_oracle(case):
     sp, c, union, s = case
     r = Reasoner(sp, c)
-    verdict = midground._compatible(s, union, r)
+    verdict = r.consistent_with_each(s, r.prepare(union))
     assert verdict == all(r.consistent((s, u)) for u in union)
     assert verdict == all(brute_consistent((s, u), sp, c, "hier") for u in union)
+
+
+@settings(max_examples=400)
+@given(case=_p3_cases())
+def test_p4_pair_test_for_one_statement_stakeholders(case):
+    # Each union statement as a one-statement stakeholder: P4's pair test on
+    # the complement row against the greedy and the oracle, tautology and
+    # contradiction candidates included.
+    sp, c, union, s = case
+    r = Reasoner(sp, c)
+    for u in union:
+        verdict = r.entailed_by_some([r.prepare((u,))], s)
+        assert verdict == r.entails((u,), s)
+        assert verdict == brute_entails((u,), s, sp, c, "hier")
+    assert r.entailed_by_some([r.prepare((u,)) for u in union], s) == any(
+        brute_entails((u,), s, sp, c, "hier") for u in union
+    )
 
 
 def test_hier_candidates_single_binary_variable_empty():
@@ -375,15 +391,15 @@ def test_pool_strict_implies_weak_closure():
 
 def test_pool_filters_once_per_equivalence_key(monkeypatch):
     profile, _ = nonuniqueness_fixture()
-    union = profile.union_statements()
     lang = hier_candidates(profile.space, profile.combiner)
     ref = Reasoner(profile.space, profile.combiner)
+    facts = midground._facts(profile, ref)
     expected = [
         s
         for s in lang
         if ref.classify(s) is Triviality.NON_TRIVIAL
-        and midground._compatible(s, union, ref)
-        and midground._entailed(s, profile, ref)
+        and midground._compatible(s, facts, ref)
+        and midground._entailed(s, facts, ref)
     ]
     keys = {ref.equivalence_key(s) for s in lang}
     assert (len(lang), len(keys)) == (350, 130)
@@ -391,14 +407,41 @@ def test_pool_filters_once_per_equivalence_key(monkeypatch):
     asked = []
     compatible = midground._compatible
 
-    def counting(s, union, r):
+    def counting(s, facts, r):
         asked.append(ref.equivalence_key(s))
-        return compatible(s, union, r)
+        return compatible(s, facts, r)
 
     monkeypatch.setattr(midground, "_compatible", counting)
     r = Reasoner(profile.space, profile.combiner)
     assert list(_candidate_pool(profile, lang, r)) == expected
     assert len(asked) == len(set(asked)) <= len(keys)
+
+
+def test_one_reasoner_keeps_each_profiles_answers_apart():
+    """What a request settles about a profile is kept per profile: one
+    reasoner asked about two profiles over one space, in turn, answers each
+    as a fresh reasoner does."""
+    c = Combiner("max")
+    clash = Profile(SP3, c, "hier", (
+        Stakeholder("a", (stmt((1, 0, 0), (0, 1, 0)),)),
+        Stakeholder("b", (stmt((0, 1, 0), (1, 0, 0)),)),
+    ))
+    other = Profile(SP3, c, "hier", (
+        Stakeholder("a", (stmt((0, 0, 1), (1, 0, 0)),)),
+        Stakeholder("b", (stmt((1, 0, 0), (0, 0, 1)), stmt((0, 1, 0), (0, 0, 0)))),
+    ))
+    agree = Profile(SP3, c, "hier", (Stakeholder("a", (stmt((0, 0, 1), (1, 0, 0)),)),))
+    r = Reasoner(SP3, c)
+    answers = {}
+    for profile in (clash, other, agree, clash, agree, other):
+        res = midground._construct_mgs(profile, None, r)
+        fresh = construct_mgs(profile)
+        assert (res.grounds, res.stats) == (fresh.grounds, fresh.stats)
+        answers.setdefault(profile, res.grounds)
+        for ground in res.grounds + ((stmt((0, 1, 0), (0, 0, 1)),),):
+            report = midground._check_postulates(ground, profile, True, r)
+            assert report == check_postulates(ground, profile, True)
+    assert len(set(answers.values())) == 3
 
 
 def test_construct_rechecks_every_returned_ground(monkeypatch):

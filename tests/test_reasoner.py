@@ -42,7 +42,7 @@ from concord.reasoner import (
     sign_matrix,
 )
 from concord.gadgets import nonuniqueness_fixture
-from conftest import alt, lane_signs, random_statement, stmt
+from conftest import alt, lane_signs, random_statement, reference_row, stmt
 
 AND = Combiner("and")
 SUM = Combiner("sum")
@@ -550,3 +550,33 @@ def test_is_consistent_dispatch():
     s = stmt((1, 0), (0, 1))
     assert is_consistent((s,), SP2, SUM, "lex").consistent
     assert is_consistent((s,), SP2, SUM, "hier").consistent
+
+
+@st.composite
+def _lane_cases(draw):
+    """A space of 1-4 variables with domains reaching below 0 and above 127,
+    a built-in or tie combiner (a tie over more than 127 values packs
+    two-byte lanes), and statements over the space."""
+    n = draw(st.integers(1, 4))
+    values = st.integers(-300, 300)
+    domains = [
+        tuple(sorted(draw(st.lists(values, min_size=2, max_size=5, unique=True))))
+        for _ in range(n)
+    ]
+    if draw(st.booleans()):
+        lo = draw(values)
+        domains[0] = tuple(range(lo, lo + 150))
+    sp = VariableSpace(tuple("v%d" % i for i in range(n)), tuple(domains))
+    kind = draw(st.sampled_from(BUILTIN_KINDS + ("tie",)))
+    c = Combiner.tie_over(set().union(*domains)) if kind == "tie" else Combiner(kind)
+    side = st.builds(Alternative, st.tuples(*[st.sampled_from(d) for d in domains]))
+    stmts = draw(st.lists(st.builds(Statement, side, side, st.booleans()), min_size=1, max_size=6))
+    return sp, c, stmts
+
+
+@settings(max_examples=300)
+@given(case=_lane_cases())
+def test_packed_rows_match_the_reference_compile(case):
+    sp, c, stmts = case
+    r = Reasoner(sp, c)
+    assert r.rows(stmts) == [reference_row(s, sp, c) for s in stmts]
