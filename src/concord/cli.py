@@ -279,7 +279,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         holds = oracle.brute_entails(profile.union_statements(), s, sp, c, mc)
         verdict = "entailed" if holds else "not-entailed"
         return _emit(args, [verdict], _payload("oracle-entails", verdict))
-    language, exhaustive = midground._resolve_language(
+    language, exhaustive, _ = midground._resolve_language(
         profile, args.language, Reasoner(sp, c, mc, limits)
     )
     res = oracle.brute_mgs(profile, language)

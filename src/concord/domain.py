@@ -287,12 +287,29 @@ class Combiner:
 
 @dataclass(frozen=True, slots=True)
 class Statement:
-    """A comparative claim between two alternatives, weak or strict."""
+    """A comparative claim between two alternatives, weak or strict.
+
+    A statement keeps its lexicographic sign row once it is derived:
+    ``sign_row`` is ``(win, lose, strict)``, the top bits of the 8-bit lanes
+    (``Alternative.lanes``) where the left side beats the right and where it
+    is beaten, in the plain integer order every built-in combiner compares
+    by. ``reasoner.sign_matrix`` derives it on first need and reads it
+    afterwards; it stays ``None`` for a statement with a side that has no
+    lanes, and table combiners never read it. It is not derived here:
+    building every statement's row up front would double the cost of making
+    a statement, which hierarchical requests make by the hundred and never
+    ask a sign row of.
+    """
 
     left: Alternative
     right: Alternative
     strict: bool
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    # Set once in ``__post_init__``; no default, so ``__init__`` does not set
+    # it first (each set on a frozen instance costs a call).
+    _hash: int = field(init=False, repr=False, compare=False)
+    sign_row: tuple[int, int, bool] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -332,6 +349,10 @@ class Profile:
     combiner: Combiner
     model_class: str  # "hier" or "lex"
     stakeholders: tuple[Stakeholder, ...] = field(default_factory=tuple)
+    # Every stakeholder's statements, duplicates dropped, derived once here.
+    _union: tuple[Statement, ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
     def __post_init__(self) -> None:
         if self.model_class not in ("hier", "lex"):
@@ -343,12 +364,13 @@ class Profile:
             for st in sh.statements:
                 self.space.check_alternative(st.left)
                 self.space.check_alternative(st.right)
+        object.__setattr__(self, "_union", dedupe_statements(
+            itertools.chain.from_iterable(sh.statements for sh in self.stakeholders)
+        ))
 
     def union_statements(self) -> tuple[Statement, ...]:
-        out: list[Statement] = []
-        for sh in self.stakeholders:
-            out.extend(sh.statements)
-        return dedupe_statements(out)
+        """Every stakeholder's statements in order, duplicates dropped."""
+        return self._union
 
 
 def dedupe_statements(statements: Iterable[Statement]) -> tuple[Statement, ...]:

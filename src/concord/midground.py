@@ -24,9 +24,11 @@ asked once per request: what the request has settled about a profile lives
 on its ``Reasoner`` (``_Facts``), namely the stakeholder precondition, the
 union's verdict, the rows of the union and of each stakeholder, P3 and P4
 per equivalence key, and the grounds returned. The postulate audit reads
-those instead of asking again. The default ``full`` language of a
-hierarchical profile is scanned through its non-trivial statements
-(``_hier_candidates``), since only they can join the pool.
+those instead of asking again. Only non-trivial statements can join the
+pool, so a language is reduced to them once, when it is materialized
+(``_resolve_language``): the ``full`` language of a hierarchical profile
+and its ``candidates`` are read off pair rows as non-trivial statements
+(``_hier_candidates``), and every other language is classified there.
 
 The inner questions (P3 compatibility, P4 entailment, the stakeholder
 check, the class search and the P5 split test) read only a verdict, so they
@@ -270,19 +272,17 @@ def _nontrivial_language(r: Reasoner) -> tuple[Statement, ...]:
 def _candidate_pool(
     profile: Profile, language: Sequence[Statement], r: Reasoner
 ) -> Iterator[Statement]:
-    """Language statements passing the three per-statement filters, lazily
-    and in language order.
+    """Language statements passing the compatibility and entailment
+    filters, lazily and in language order.
 
-    The compatibility and entailment filters run once per
-    ``Reasoner.equivalence_key`` (``_verdicts``). ``language`` holds no
-    duplicates.
+    ``language`` holds no duplicates and no trivial statements
+    (``_resolve_language`` drops them). The filters run once per
+    ``Reasoner.equivalence_key`` (``_verdicts``).
     """
     facts = _facts(profile, r)
     for i, s in enumerate(language):
         if not i & 1023:
             r.check_deadline()
-        if r.classify(s) is not Triviality.NON_TRIVIAL:
-            continue
         if all(_verdicts(s, r.equivalence_key(s), facts, r)):
             yield s
 
@@ -303,20 +303,21 @@ def exists_mg_lex(
     if not profile.stakeholders:
         raise TrivialStakeholderError("profile has no stakeholders")
     nvars = profile.space.size
-    union = profile.union_statements()
-    signs, _ = sign_matrix(union, profile.combiner)
-    lanes = signs.lanes
-    union_index = {s: i for i, s in enumerate(union)}
-    # Precondition and union checks run on subsets of the one set of sign rows
-    # instead of re-deriving each stakeholder's.
+    # Each stakeholder's rows and the union's are gathered from what the
+    # statements keep (``sign_matrix``); rows packed by rank may differ in
+    # lane width from the union's, so each set is read against its own lanes.
     for sh in profile.stakeholders:
-        own = signs.take([union_index[s] for s in dedupe_statements(sh.statements)])
+        own, _ = sign_matrix(sh.statements, profile.combiner)
         if _lex_consistent_from_signs(own)[0] is None:
             raise TrivialStakeholderError(f"stakeholder {sh.name!r} is inconsistent")
+        lanes = own.lanes
         if all(win == lanes if strict else not lose for win, lose, strict in own.rows):
             raise TrivialStakeholderError(
                 f"stakeholder {sh.name!r} asserts nothing falsifiable"
             )
+    union = profile.union_statements()
+    signs, _ = sign_matrix(union, profile.combiner)
+    lanes = signs.lanes
     if _lex_consistent_from_signs(signs)[0] is not None:
         return ExistenceResult(
             True, via_union=True, stats={"pairwise_checks": 0, "entailment_checks": 0}
@@ -392,24 +393,41 @@ def exists_mg_hier(
 
 def _resolve_language(
     profile: Profile, language, r: Reasoner
-) -> tuple[tuple[Statement, ...], bool]:
-    """Materialize the language argument; returns (statements, exhaustive)."""
+) -> tuple[tuple[Statement, ...], bool, int]:
+    """Materialize the language argument, with its trivial statements
+    dropped, since only non-trivial ones can join the pool; returns
+    (statements, exhaustive, the language's size before the drop).
+
+    A hierarchical profile's ``full`` language and its ``candidates`` are
+    read off pair rows as non-trivial statements (``_hier_candidates``), in
+    the full language's order; every other language is classified here,
+    once per member, with the request's deadline read as in the pool filter.
+    """
     lex = profile.model_class == "lex"
     if language is None:
         language = "binary" if lex else "full"
-    if isinstance(language, str):
-        if language == "full":
-            return full_language(profile.space, r.limits), True
-        if language == "binary":
-            return binary_language(profile.space, r.limits), lex
-        if language == "candidates":
-            if lex:
-                return lex_candidates(profile.space), False
-            return _hier_candidates(r), True
+    if not lex and language in ("full", "candidates"):
+        cands = _hier_candidates(r)
+        size = _check_full_language(r.space, r.limits) if language == "full" else len(cands)
+        return cands, True, size
+    if language == "full":
+        lang, exhaustive = full_language(profile.space, r.limits), True
+    elif language == "binary":
+        lang, exhaustive = binary_language(profile.space, r.limits), lex
+    elif language == "candidates":
+        lang, exhaustive = lex_candidates(profile.space), False
+    elif isinstance(language, str):
         raise ValueError(f"unknown language selector {language!r}")
-    lang = dedupe_statements(language)
-    _check_language_size(len(lang), r.limits)
-    return lang, False
+    else:
+        lang, exhaustive = dedupe_statements(language), False
+        _check_language_size(len(lang), r.limits)
+    kept = []
+    for i, s in enumerate(lang):
+        if not i & 1023:
+            r.check_deadline()
+        if r.classify(s) is Triviality.NON_TRIVIAL:
+            kept.append(s)
+    return tuple(kept), exhaustive, len(lang)
 
 
 def _group_equivalent(
@@ -457,13 +475,7 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
             exhaustive=True,
             stats={"via_union": True},
         )
-    if language in (None, "full") and profile.model_class == "hier":
-        # Only non-trivial statements can join the pool: the full language's, in its order.
-        size = _check_full_language(r.space, r.limits)
-        lang, exhaustive = _hier_candidates(r), True
-    else:
-        lang, exhaustive = _resolve_language(profile, language, r)
-        size = len(lang)
+    lang, exhaustive, size = _resolve_language(profile, language, r)
     pool = tuple(_candidate_pool(profile, lang, r))
     stats: dict = {
         "language": size,

@@ -18,14 +18,17 @@ per step, lowest bit first. Hierarchical rows have a bit per canonical level.
 Lexicographic rows have a lane of bits per variable: each side of a
 statement is packed into one int whose lane ``v`` (bits ``v * w`` up to
 ``v * w + w - 1``, for a lane width ``w`` of whole bytes) holds the side's
-value at variable ``v``, or that value's rank (``sign_matrix``). Under a
-built-in combiner, with every value in 0..127, the packing is done once per
-alternative when it is built (``Alternative.lanes``, 8-bit lanes); the
-engine only reads it. With ``top`` the top bit of every lane, the lanes
-where side ``a`` beats side ``b`` are ``top ^ lanes_at_most(a, b, top)``,
-all variables in four operations; ``domain.lanes_at_most`` states why, and
-its precondition that every packed value sits below its lane's top bit. A
-statement's signs are the top bits of its win and lose lanes.
+value at variable ``v``, or that value's rank (``sign_matrix``). With
+``top`` the top bit of every lane, the lanes where side ``a`` beats side
+``b`` are ``top ^ lanes_at_most(a, b, top)``, all variables in four
+operations; ``domain.lanes_at_most`` states why, and its precondition that
+every packed value sits below its lane's top bit. A statement's signs are
+the top bits of its win and lose lanes. Under a built-in combiner, with
+every value in 0..127, the packing is done once per alternative when it is
+built (``Alternative.lanes``, 8-bit lanes), and the row once per statement,
+on first need, and kept on it (``Statement.sign_row``): a lexicographic
+call gathers the rows of the statements it is given and derives only those
+of statements no call has met before.
 
 Hierarchical rows come from the same kernel. A ``Reasoner`` packs each
 alternative's folds over the canonical levels into one int, a lane per
@@ -39,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -148,10 +152,9 @@ class SignRows:
         """The variable whose lane bit ``bit`` is."""
         return bit.bit_length() // self.width - 1
 
-    def take(self, indices: Sequence[int]) -> "SignRows":
-        """The rows at ``indices``, in that order."""
-        rows = self.rows
-        return SignRows([rows[i] for i in indices], self.nvars, self.width)
+
+# A row's strictness.
+_STRICT = operator.itemgetter(2)
 
 
 def sign_matrix(
@@ -161,39 +164,66 @@ def sign_matrix(
 
     Each side is packed into one int, a lane per variable (module docstring).
     Under a built-in combiner, when every side has its values packed
-    (``Alternative.lanes``: all in 0..127), those 8-bit lanes are read as
-    they are. Otherwise each value is replaced by its rank: its position in a
-    table combiner's universe, or among the distinct values present; ranks
-    keep the value order, so the signs are the same.
+    (``Alternative.lanes``: all in 0..127), each statement's row over those
+    8-bit lanes is the one it keeps (``Statement.sign_row``), derived and
+    kept on first need; a kept row shows that its two sides have the same
+    length, so only its left side is measured against the other statements'.
+    Otherwise each value is replaced by its rank: its position in a table
+    combiner's universe, or among the distinct values present; ranks keep
+    the value order, so the signs are the same. The rank path neither reads
+    nor keeps a row: table combiners order values their own way.
     """
     nvars = len(statements[0].left.values) if statements else 0
-    for s in statements:
-        if len(s.left.values) != nvars or len(s.right.values) != nvars:
-            raise DomainMismatchError(f"statement {s} does not have {nvars} values a side")
-    packed, width = _pack(statements, c)
-    top = _top_bits(nvars, width)
-    rows = [
-        (top ^ lanes_at_most(a, b, top), top ^ lanes_at_most(b, a, top), strict)
-        for a, b, strict in packed
-    ]
+    if c.rank is None:
+        top = _top_bits(nvars, 8)
+        rows = [
+            len(s.left.values) == nvars and s.sign_row or _keep_row(s, nvars, top)
+            for s in statements
+        ]
+        if all(rows):
+            return SignRows(rows, nvars, 8), tuple(map(_STRICT, rows))
+    rows, width = _rank_rows(statements, c, nvars)
     return SignRows(rows, nvars, width), tuple(s.strict for s in statements)
 
 
-def _pack(
-    statements: Sequence[Statement], c: Combiner
+def _sign_row(a: int, b: int, strict: bool, top: int) -> tuple[int, int, bool]:
+    """The row of packed sides ``a`` and ``b``: the top bit of each lane where
+    ``a`` beats ``b``, where it is beaten, and the strictness."""
+    return top ^ lanes_at_most(a, b, top), top ^ lanes_at_most(b, a, top), strict
+
+
+def _check_sides(s: Statement, nvars: int) -> None:
+    """Refuse a statement without ``nvars`` values on each side."""
+    if len(s.left.values) != nvars or len(s.right.values) != nvars:
+        raise DomainMismatchError(f"statement {s} does not have {nvars} values a side")
+
+
+def _keep_row(s: Statement, nvars: int, top: int) -> tuple[int, int, bool] | None:
+    """``s``'s row over 8-bit lanes, kept on ``s``; ``None`` when a side
+    has no lanes."""
+    _check_sides(s, nvars)
+    a, b = s.left.lanes, s.right.lanes
+    if a is None or b is None:
+        return None
+    row = _sign_row(a, b, s.strict, top)
+    object.__setattr__(s, "sign_row", row)
+    return row
+
+
+def _rank_rows(
+    statements: Sequence[Statement], c: Combiner, nvars: int
 ) -> tuple[list[tuple[int, int, bool]], int]:
-    """Each statement's sides as ints of a lane per variable, its
-    strictness, and the lane width (``sign_matrix``)."""
-    if c.rank is None:
-        packed = [(s.left.lanes, s.right.lanes, s.strict) for s in statements]
-        if all(a is not None and b is not None for a, b, _ in packed):
-            return packed, 8
+    """The statements' rows over lanes of ranks, and the lane width
+    (``sign_matrix``)."""
+    for s in statements:
+        _check_sides(s, nvars)
     rank = c.rank
     if rank is None:
         present = {v for s in statements for v in s.left.values + s.right.values}
         rank = {v: i for i, v in enumerate(sorted(present))}
     # Whole bytes per lane, enough to keep every rank below the top bit.
     nbytes = (max(len(rank) - 1, 0).bit_length() + 8) // 8
+    top = _top_bits(nvars, 8 * nbytes)
 
     def pack(alt: Alternative) -> int:
         try:
@@ -206,7 +236,8 @@ def _pack(
             b"".join(r.to_bytes(nbytes, "little") for r in ranks), "little"
         )
 
-    return [(pack(s.left), pack(s.right), s.strict) for s in statements], 8 * nbytes
+    rows = [_sign_row(pack(s.left), pack(s.right), s.strict, top) for s in statements]
+    return rows, 8 * nbytes
 
 
 def _lex_witness_ok(signs: SignRows, variables: Sequence[int]) -> bool:
@@ -314,11 +345,14 @@ def is_consistent_lex(
     c: Combiner,
     limits: Limits = DEFAULT_LIMITS,
 ) -> ConsistencyResult:
-    """Greedy lexicographic consistency with a constructed, re-checked witness."""
-    stmts = dedupe_statements(statements)
-    if not stmts:
+    """Greedy lexicographic consistency with a constructed, re-checked witness.
+
+    Duplicates are not dropped: a repeated row changes neither the greedy's
+    path, nor the witness, nor its counters.
+    """
+    if not statements:
         return ConsistencyResult(True, LexicographicModel((0,)))
-    signs, _ = sign_matrix(stmts, c)
+    signs, _ = sign_matrix(statements, c)
     variables, nodes, tried = _lex_consistent_from_signs(signs)
     stats = SearchStats(nodes=nodes, levels_tried=tried)
     if variables is None:

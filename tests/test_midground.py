@@ -21,6 +21,7 @@ from concord.errors import CapacityError, TrivialStakeholderError
 from concord.midground import (
     _candidate_pool,
     _group_equivalent,
+    _resolve_language,
     binary_language,
     check_postulates,
     construct_mgs,
@@ -30,7 +31,13 @@ from concord.midground import (
     hier_candidates,
     lex_candidates,
 )
-from concord.oracle import brute_consistent, brute_entails, brute_mgs, brute_p5
+from concord.oracle import (
+    brute_consistent,
+    brute_entails,
+    brute_mgs,
+    brute_p5,
+    brute_tautology,
+)
 from concord.reasoner import (
     Limits,
     Reasoner,
@@ -348,6 +355,49 @@ def test_exists_lex_witness_comes_from_candidates():
     assert res.witness in lex_candidates(SP2)
 
 
+def test_exists_lex_reads_each_stakeholder_against_its_own_lanes():
+    # Values above 127 have no 8-bit lanes, so rows are packed by rank: each
+    # stakeholder's 100 values fit 8-bit lanes, the union's 200 need 16.
+    rng = random.Random(1214)
+    sp = VariableSpace(("x", "y", "z"), (tuple(range(400)),) * 3)
+
+    def draw(lo):
+        # 40 statements that the lexicographic model over ``order`` satisfies.
+        order = rng.sample(range(3), rng.randint(1, 3))
+        out = []
+        for _ in range(40):
+            a = tuple(rng.randrange(lo, lo + 100) for _ in range(3))
+            b = tuple(v if rng.random() < 0.5 else rng.randrange(lo, lo + 100) for v in a)
+            lead = next((v for v in order if a[v] != b[v]), None)
+            if lead is None:
+                out.append(stmt(a, b, strict=False))
+            else:
+                out.append(stmt(*((a, b) if a[lead] > b[lead] else (b, a)),
+                                strict=rng.random() < 0.5))
+        return tuple(out)
+
+    via_union = set()
+    done = 0
+    while done < 30:
+        sets = (draw(128), draw(228))
+        if any(all(brute_tautology(s, sp, SUM, "lex") for s in stmts) for stmts in sets):
+            continue
+        profile = lex_profile(*sets, space=sp)
+        assert len({v for s in profile.union_statements()
+                    for v in s.left.values + s.right.values}) > 128
+        res = exists_mg_lex(profile)
+        assert res.exists == bool(brute_mgs(profile, binary_language(sp)).grounds), profile
+        via_union.add(res.via_union)
+        # A third stakeholder asserting only a tautology, in 8-bit rank lanes
+        # of its own, breaks the precondition, as the oracle says.
+        taut = stmt((300, 301, 302), (200, 200, 200))
+        assert brute_tautology(taut, sp, SUM, "lex")
+        with pytest.raises(TrivialStakeholderError, match="nothing falsifiable"):
+            exists_mg_lex(lex_profile(*sets, (taut,), space=sp))
+        done += 1
+    assert via_union == {True, False}
+
+
 def test_exists_lex_agrees_with_binary_construction():
     rng = random.Random(20260822)
     done = 0
@@ -485,7 +535,10 @@ def test_pool_filters_agree_with_postulate_audit():
             continue
         if is_consistent(profile.union_statements(), SP2, c, mc).consistent:
             continue
-        pool = set(_candidate_pool(profile, lang, Reasoner(SP2, c, mc)))
+        # The pool is given the language as construction resolves it, with
+        # trivial statements dropped.
+        r = Reasoner(SP2, c, mc)
+        pool = set(_candidate_pool(profile, _resolve_language(profile, "full", r)[0], r))
         audited = set()
         for s in lang:
             if classify(s, SP2, c, mc) is not Triviality.NON_TRIVIAL:

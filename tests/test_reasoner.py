@@ -323,6 +323,53 @@ def test_sign_rows_refuse_values_they_cannot_place():
         sign_matrix((stmt((0, 1), (1, 0)), stmt((0, 1, 1), (1, 0))), SUM)
 
 
+@given(st.data())
+@settings(max_examples=200)
+def test_sign_matrix_reads_kept_rows_as_it_derives_them(data):
+    # Values 2 and 7 order one way under SUM and the other under UNSORTED,
+    # so a kept row read on the table path would flip every sign it has.
+    n = data.draw(st.integers(1, 4))
+    side = st.tuples(*[st.sampled_from((2, 7))] * n)
+    drawn = data.draw(st.lists(st.tuples(side, side, st.booleans()), min_size=1, max_size=8))
+    statements = [stmt(a, b, strict) for a, b, strict in drawn]
+    order = data.draw(st.lists(st.integers(0, len(statements) - 1), min_size=1, max_size=16))
+    listed = [statements[i] for i in order]  # duplicates included
+    # All fresh: rows derived from copies no call has seen.
+    fresh, strict = sign_matrix([stmt(*drawn[i]) for i in order], SUM)
+    assert [lane_signs(fresh, i) for i in range(len(listed))] == [SUM.signs(s) for s in listed]
+    assert strict == tuple(s.strict for s in listed)
+    # Mixed: some statements seen before, the rest fresh.
+    seen = data.draw(st.lists(st.sampled_from(statements), unique=True))
+    sign_matrix(seen, SUM)
+    assert sign_matrix(listed, SUM) == (fresh, strict)
+    # All seen before: every row is gathered.
+    assert all(s.sign_row is not None for s in listed)
+    assert sign_matrix(listed, SUM) == (fresh, strict)
+    # The table path never reads a kept row.
+    table, _ = sign_matrix(listed, UNSORTED)
+    assert [lane_signs(table, i) for i in range(len(listed))] == [
+        UNSORTED.signs(s) for s in listed
+    ]
+
+
+def test_lex_consistency_ignores_duplicates():
+    rng = random.Random(14)
+    sp = VariableSpace(tuple("v%d" % i for i in range(4)), ((0, 1, 2),) * 4)
+    verdicts = set()
+    for _ in range(300):
+        distinct = [random_statement(rng, sp) for _ in range(rng.randint(1, 5))]
+        listed = distinct + [rng.choice(distinct) for _ in range(rng.randint(1, 6))]
+        rng.shuffle(listed)
+        once = [stmt(s.left.values, s.right.values, s.strict) for s in dict.fromkeys(listed)]
+        want = is_consistent_lex(once, sp, SUM)
+        got = is_consistent_lex(listed, sp, SUM)
+        assert (got.consistent, got.witness, got.stats) == (
+            want.consistent, want.witness, want.stats
+        ), listed
+        verdicts.add(got.consistent)
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # hierarchical consistency
 
