@@ -13,7 +13,6 @@ timeout stopped the computation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -84,7 +83,7 @@ def _load_limits(args: argparse.Namespace) -> Limits:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    return dataclasses.replace(DEFAULT_LIMITS, **values) if values else DEFAULT_LIMITS
+    return Limits(**values) if values else DEFAULT_LIMITS
 
 
 def _load_profile(args: argparse.Namespace) -> tuple[dsl.Document, Profile]:
@@ -95,7 +94,7 @@ def _load_profile(args: argparse.Namespace) -> tuple[dsl.Document, Profile]:
 def _statement_arg(args: argparse.Namespace, doc: dsl.Document) -> Statement:
     node = dsl.parse_statement(args.stmt, doc.variables)
     block = dsl.StakeholderBlock("_", (node,))
-    probe = dataclasses.replace(doc, stakeholders=(block,))
+    probe = dsl.Document(doc.variables, doc.combiner, doc.model_class, (block,))
     return dsl.to_profile(probe).stakeholders[0].statements[0]
 
 

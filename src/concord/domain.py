@@ -2,6 +2,17 @@
 
 Everything here is immutable and hashable so statements can live in sets and
 serve as dict keys throughout the reasoning layers.
+
+Every concord value class, here and in ``dsl``, ``models``, ``reasoner`` and
+``results``, is a plain ``__slots__`` class on ``Frozen``: a hand-written
+``__init__`` validates and derives, and ``Frozen`` alone gives equality and
+hashing over the compared fields, the ``repr``, refusal of assignment and
+deletion, and copy and pickle support. They are not dataclasses: the
+dataclass decorator generates and compiles every method when the class is
+made, and with the ``inspect`` module it imports, that was about half of
+``import concord``, which every ``concord`` process pays. A changed copy of
+a value is built with its constructor (``dataclasses.replace`` does not
+apply).
 """
 
 from __future__ import annotations
@@ -9,11 +20,63 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainMismatchError
+
+# Sets a slot of a ``Frozen`` instance, past its refusing ``__setattr__``.
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass declares its slots in ``__slots__`` and, in ``_fields``, the
+    ones that make up its value, in constructor order: two instances of one
+    class are equal when those fields are, hash as the tuple of them, and
+    show them in their ``repr`` as a dataclass would. Other slots hold what
+    is derived or cached (a hash, a packing, a source span). ``__init__``
+    sets slots with ``object.__setattr__``; assignment and deletion raise
+    ``AttributeError``. Copies and pickles carry every slot.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        get = operator.attrgetter(*cls._fields)
+        # The compared fields as one tuple, by one C call per instance.
+        cls._values = staticmethod(
+            get if len(cls._fields) > 1 else lambda obj: (get(obj),)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            _set(self, name, value)
+
 
 # Combiner kinds with built-in integer semantics. "table" is the escape hatch
 # for custom associative-commutative operations over a finite value universe.
@@ -46,50 +109,53 @@ def lanes_at_most(a: int, b: int, top: int) -> int:
     return ((b | top) - a) & top
 
 
-@dataclass(frozen=True, slots=True)
-class VariableSpace:
-    """An ordered tuple of named variables with finite integer domains."""
+class VariableSpace(Frozen):
+    """An ordered tuple of named variables with finite integer domains.
 
-    variables: tuple[str, ...]
-    domains: tuple[tuple[int, ...], ...]
-    # When every domain is a contiguous range inside 0..127: the lowest and
-    # highest values as 8-bit lanes, and every lane's top bit, so that
-    # ``check_alternative`` can test a packed alternative all at once.
-    _lane_bounds: tuple[int, int, int] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    When every domain is a contiguous range inside 0..127, ``_lane_bounds``
+    holds the lowest and highest values as 8-bit lanes, and every lane's top
+    bit, so that ``check_alternative`` can test a packed alternative all at
+    once; otherwise it is ``None``.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.variables:
+    __slots__ = ("variables", "domains", "_lane_bounds")
+    _fields = ("variables", "domains")
+
+    def __init__(
+        self, variables: tuple[str, ...], domains: tuple[tuple[int, ...], ...]
+    ) -> None:
+        _set(self, "variables", variables)
+        _set(self, "domains", domains)
+        if not variables:
             raise DomainMismatchError("a variable space needs at least one variable")
-        if len(self.variables) != len(self.domains):
+        if len(variables) != len(domains):
             raise DomainMismatchError(
-                f"{len(self.variables)} variables but {len(self.domains)} domains"
+                f"{len(variables)} variables but {len(domains)} domains"
             )
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise DomainMismatchError("duplicate variable names")
-        for name, dom in zip(self.variables, self.domains):
+        for name, dom in zip(variables, domains):
             if len(dom) < 2:
                 raise DomainMismatchError(f"variable {name!r} needs at least two values")
             if len(set(dom)) != len(dom):
                 raise DomainMismatchError(f"variable {name!r} repeats domain values")
             if tuple(sorted(dom)) != dom:
                 raise DomainMismatchError(f"domain of {name!r} must be sorted ascending")
+        bounds = None
         if all(
             isinstance(dom[0], int)
             and isinstance(dom[-1], int)
             and 0 <= dom[0]
             and dom[-1] <= 127
             and dom == tuple(range(dom[0], dom[-1] + 1))
-            for dom in self.domains
+            for dom in domains
         ):
-            lo = bytes(dom[0] for dom in self.domains)
-            hi = bytes(dom[-1] for dom in self.domains)
-            object.__setattr__(self, "_lane_bounds", (
-                int.from_bytes(lo, "little"),
-                int.from_bytes(hi, "little"),
-                _top_bits(self.size, 8),
-            ))
+            bounds = (
+                int.from_bytes(bytes(dom[0] for dom in domains), "little"),
+                int.from_bytes(bytes(dom[-1] for dom in domains), "little"),
+                _top_bits(len(domains), 8),
+            )
+        _set(self, "_lane_bounds", bounds)
 
     @classmethod
     def binary(cls, names: Sequence[str]) -> "VariableSpace":
@@ -127,8 +193,7 @@ class VariableSpace:
             yield Alternative(combo)
 
 
-@dataclass(frozen=True, slots=True)
-class Alternative:
+class Alternative(Frozen):
     """A full assignment of one integer value per variable.
 
     Alternatives are packed once, here, when they are built: ``lanes`` holds
@@ -140,20 +205,23 @@ class Alternative:
     is made (a document's set-up) and not in the first request.
     """
 
-    values: tuple[int, ...]
-    # Alternatives are hashed constantly (statement dedup, model-set keys), so
-    # the hash is computed once up front.
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
-    lanes: int | None = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ("values", "_hash", "lanes")
+    _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.values))
+    def __init__(self, values: tuple[int, ...]) -> None:
+        _set(self, "values", values)
+        # Alternatives are hashed constantly (statement dedup, model-set
+        # keys), so the hash is computed once up front.
+        _set(self, "_hash", hash(values))
+        lanes = None
         try:
-            packed = bytes(self.values)
+            packed = bytes(values)
         except (ValueError, TypeError):  # a value outside 0..255, or no int
-            return
-        if packed.isascii():
-            object.__setattr__(self, "lanes", int.from_bytes(packed, "little"))
+            pass
+        else:
+            if packed.isascii():
+                lanes = int.from_bytes(packed, "little")
+        _set(self, "lanes", lanes)
 
     def __hash__(self) -> int:
         return self._hash
@@ -162,8 +230,7 @@ class Alternative:
         return "(" + ",".join(str(v) for v in self.values) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class Combiner:
+class Combiner(Frozen):
     """Associative commutative fold used to aggregate values inside a level.
 
     ``kind`` is one of the built-ins (integer semantics) or ``"table"``. Table
@@ -177,46 +244,48 @@ class Combiner:
     Both are derived once on construction.
     """
 
-    kind: str
-    table: tuple[tuple[int, int, int], ...] | None = None
-    universe: tuple[int, ...] | None = None
-    op: Callable[[int, int], int] = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    rank: dict[int, int] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    __slots__ = ("kind", "table", "universe", "op", "rank")
+    _fields = ("kind", "table", "universe")
 
-    def __post_init__(self) -> None:
-        if self.kind in BUILTIN_KINDS:
-            if self.table is not None or self.universe is not None:
-                raise DomainMismatchError(f"{self.kind!r} takes no table")
-            object.__setattr__(self, "op", _BUILTIN_OPS[self.kind])
+    def __init__(
+        self,
+        kind: str,
+        table: tuple[tuple[int, int, int], ...] | None = None,
+        universe: tuple[int, ...] | None = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "table", table)
+        _set(self, "universe", universe)
+        if kind in BUILTIN_KINDS:
+            if table is not None or universe is not None:
+                raise DomainMismatchError(f"{kind!r} takes no table")
+            _set(self, "op", _BUILTIN_OPS[kind])
+            _set(self, "rank", None)
             return
-        if self.kind != "table":
-            raise DomainMismatchError(f"unknown combiner kind {self.kind!r}")
-        if self.table is None or self.universe is None:
+        if kind != "table":
+            raise DomainMismatchError(f"unknown combiner kind {kind!r}")
+        if table is None or universe is None:
             raise DomainMismatchError("table combiner needs a table and a universe")
-        if len(set(self.universe)) != len(self.universe):
+        if len(set(universe)) != len(universe):
             raise DomainMismatchError("combiner universe repeats values")
-        uni = set(self.universe)
+        uni = set(universe)
         seen: dict[tuple[int, int], int] = {}
-        for a, b, out in self.table:
+        for a, b, out in table:
             if a not in uni or b not in uni or out not in uni:
                 raise DomainMismatchError("table entry leaves the value universe")
             if seen.setdefault((a, b), out) != out:
                 raise DomainMismatchError(f"conflicting table entries for ({a},{b})")
-        for a in self.universe:
-            for b in self.universe:
+        for a in universe:
+            for b in universe:
                 if (a, b) not in seen:
                     raise DomainMismatchError(f"table missing entry for ({a},{b})")
                 if seen[(a, b)] != seen[(b, a)]:
                     raise DomainMismatchError(f"table not commutative at ({a},{b})")
         # Associativity is only affordable to verify on small universes.
-        if len(self.universe) <= 8:
-            for a in self.universe:
-                for b in self.universe:
-                    for c in self.universe:
+        if len(universe) <= 8:
+            for a in universe:
+                for b in universe:
+                    for c in universe:
                         if seen[(seen[(a, b)], c)] != seen[(a, seen[(b, c)])]:
                             raise DomainMismatchError(
                                 f"table not associative at ({a},{b},{c})"
@@ -232,8 +301,8 @@ class Combiner:
             except KeyError:
                 raise DomainMismatchError(f"no table entry for ({a},{b})") from None
 
-        object.__setattr__(self, "op", lookup)
-        object.__setattr__(self, "rank", {v: i for i, v in enumerate(self.universe)})
+        _set(self, "op", lookup)
+        _set(self, "rank", {v: i for i, v in enumerate(self.universe)})
 
     def fold(self, values: Sequence[int]) -> int:
         """Combine one or more values. A singleton folds to the value itself."""
@@ -278,15 +347,14 @@ class Combiner:
         universe = base + (sentinel,)
         seen = {(a, b): sentinel for a in universe for b in universe}
         tie = object.__new__(cls)
-        object.__setattr__(tie, "kind", "table")
-        object.__setattr__(tie, "table", tuple((a, b, sentinel) for a, b in seen))
-        object.__setattr__(tie, "universe", universe)
+        _set(tie, "kind", "table")
+        _set(tie, "table", tuple((a, b, sentinel) for a, b in seen))
+        _set(tie, "universe", universe)
         tie._use_table(seen)
         return tie
 
 
-@dataclass(frozen=True, slots=True)
-class Statement:
+class Statement(Frozen):
     """A comparative claim between two alternatives, weak or strict.
 
     A statement keeps its lexicographic sign row once it is derived:
@@ -301,20 +369,15 @@ class Statement:
     ask a sign row of.
     """
 
-    left: Alternative
-    right: Alternative
-    strict: bool
-    # Set once in ``__post_init__``; no default, so ``__init__`` does not set
-    # it first (each set on a frozen instance costs a call).
-    _hash: int = field(init=False, repr=False, compare=False)
-    sign_row: tuple[int, int, bool] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    __slots__ = ("left", "right", "strict", "_hash", "sign_row")
+    _fields = ("left", "right", "strict")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.left._hash, self.right._hash, self.strict))
-        )
+    def __init__(self, left: Alternative, right: Alternative, strict: bool) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "strict", strict)
+        _set(self, "_hash", hash((left._hash, right._hash, strict)))
+        _set(self, "sign_row", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -335,37 +398,46 @@ class Triviality(Enum):
     NON_TRIVIAL = "non-trivial"
 
 
-@dataclass(frozen=True, slots=True)
-class Stakeholder:
-    name: str
-    statements: tuple[Statement, ...]
+class Stakeholder(Frozen):
+    __slots__ = _fields = ("name", "statements")
+
+    def __init__(self, name: str, statements: tuple[Statement, ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "statements", statements)
 
 
-@dataclass(frozen=True, slots=True)
-class Profile:
-    """A joint scenario: shared space and combiner, several stakeholders."""
+class Profile(Frozen):
+    """A joint scenario: shared space and combiner, several stakeholders.
 
-    space: VariableSpace
-    combiner: Combiner
-    model_class: str  # "hier" or "lex"
-    stakeholders: tuple[Stakeholder, ...] = field(default_factory=tuple)
-    # Every stakeholder's statements, duplicates dropped, derived once here.
-    _union: tuple[Statement, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    ``model_class`` is ``"hier"`` or ``"lex"``. ``_union`` holds every
+    stakeholder's statements, duplicates dropped, derived once here.
+    """
 
-    def __post_init__(self) -> None:
-        if self.model_class not in ("hier", "lex"):
-            raise DomainMismatchError(f"unknown model class {self.model_class!r}")
-        names = [sh.name for sh in self.stakeholders]
+    __slots__ = ("space", "combiner", "model_class", "stakeholders", "_union")
+    _fields = ("space", "combiner", "model_class", "stakeholders")
+
+    def __init__(
+        self,
+        space: VariableSpace,
+        combiner: Combiner,
+        model_class: str,
+        stakeholders: tuple[Stakeholder, ...] = (),
+    ) -> None:
+        _set(self, "space", space)
+        _set(self, "combiner", combiner)
+        _set(self, "model_class", model_class)
+        _set(self, "stakeholders", stakeholders)
+        if model_class not in ("hier", "lex"):
+            raise DomainMismatchError(f"unknown model class {model_class!r}")
+        names = [sh.name for sh in stakeholders]
         if len(set(names)) != len(names):
             raise DomainMismatchError("duplicate stakeholder names")
-        for sh in self.stakeholders:
+        for sh in stakeholders:
             for st in sh.statements:
-                self.space.check_alternative(st.left)
-                self.space.check_alternative(st.right)
-        object.__setattr__(self, "_union", dedupe_statements(
-            itertools.chain.from_iterable(sh.statements for sh in self.stakeholders)
+                space.check_alternative(st.left)
+                space.check_alternative(st.right)
+        _set(self, "_union", dedupe_statements(
+            itertools.chain.from_iterable(sh.statements for sh in stakeholders)
         ))
 
     def union_statements(self) -> tuple[Statement, ...]:

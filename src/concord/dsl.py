@@ -37,16 +37,17 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from operator import le
 
 from .domain import (
     Alternative,
     Combiner,
+    Frozen,
     Profile,
     Stakeholder,
     Statement,
     VariableSpace,
+    _set,
 )
 from .errors import CapacityError, ParseError
 
@@ -79,37 +80,68 @@ _KIND_TO_MODEL = {v: k for k, v in _MODEL_TO_KIND.items()}
 
 # ---------------------------------------------------------------------------
 # document model
+#
+# A node's ``span`` is the (line, column) it starts at; it is left out of
+# equality, hashing and ``repr``.
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    lo: int
-    hi: int
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class VarDecl(Frozen):
+    __slots__ = ("name", "lo", "hi", "span")
+    _fields = ("name", "lo", "hi")
+
+    def __init__(self, name: str, lo: int, hi: int, span: tuple[int, int] = (0, 0)) -> None:
+        _set(self, "name", name)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class StatementNode:
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    strict: bool
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class StatementNode(Frozen):
+    __slots__ = ("left", "right", "strict", "span")
+    _fields = ("left", "right", "strict")
+
+    def __init__(
+        self,
+        left: tuple[int, ...],
+        right: tuple[int, ...],
+        strict: bool,
+        span: tuple[int, int] = (0, 0),
+    ) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "strict", strict)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class StakeholderBlock:
-    name: str
-    statements: tuple[StatementNode, ...]
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class StakeholderBlock(Frozen):
+    __slots__ = ("name", "statements", "span")
+    _fields = ("name", "statements")
+
+    def __init__(
+        self,
+        name: str,
+        statements: tuple[StatementNode, ...],
+        span: tuple[int, int] = (0, 0),
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "statements", statements)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Document:
-    variables: tuple[VarDecl, ...]
-    combiner: str
-    model_class: str
-    stakeholders: tuple[StakeholderBlock, ...]
+class Document(Frozen):
+    __slots__ = _fields = ("variables", "combiner", "model_class", "stakeholders")
+
+    def __init__(
+        self,
+        variables: tuple[VarDecl, ...],
+        combiner: str,
+        model_class: str,
+        stakeholders: tuple[StakeholderBlock, ...],
+    ) -> None:
+        _set(self, "variables", variables)
+        _set(self, "combiner", combiner)
+        _set(self, "model_class", model_class)
+        _set(self, "stakeholders", stakeholders)
 
 
 # ---------------------------------------------------------------------------

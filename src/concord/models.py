@@ -8,11 +8,10 @@ singleton levels covering any subset of variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .domain import Alternative, Combiner, Statement, VariableSpace
+from .domain import Alternative, Combiner, Frozen, Statement, VariableSpace, _set
 from .errors import DomainMismatchError
 
 
@@ -22,18 +21,18 @@ class Comparison(Enum):
     TIE = "tie"
 
 
-@dataclass(frozen=True, slots=True)
-class HierarchicalModel:
+class HierarchicalModel(Frozen):
     """Sequence of non-empty variable-index sets, most important first."""
 
-    levels: tuple[frozenset[int], ...]
+    __slots__ = _fields = ("levels",)
 
-    def __post_init__(self) -> None:
-        if not self.levels:
+    def __init__(self, levels: tuple[frozenset[int], ...]) -> None:
+        if not levels:
             raise DomainMismatchError("a model needs at least one level")
-        for lv in self.levels:
+        for lv in levels:
             if not lv:
                 raise DomainMismatchError("levels must be non-empty")
+        _set(self, "levels", levels)
 
     @classmethod
     def from_names(cls, space: VariableSpace, *levels: Iterable[str]) -> "HierarchicalModel":
@@ -47,25 +46,21 @@ class HierarchicalModel:
         return "(" + ",".join(parts) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class LexicographicModel:
+class LexicographicModel(Frozen):
     """Strict order over a subset of variables, most important first.
 
     A repeated variable can only ever be a no-op (the earlier occurrence already
     compared the values), so repeats are dropped on construction.
     """
 
-    variables: tuple[int, ...]
+    __slots__ = _fields = ("variables",)
 
-    def __post_init__(self) -> None:
-        if not self.variables:
+    def __init__(self, variables: tuple[int, ...]) -> None:
+        if not variables:
             raise DomainMismatchError("a model needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
-            seen: list[int] = []
-            for v in self.variables:
-                if v not in seen:
-                    seen.append(v)
-            object.__setattr__(self, "variables", tuple(seen))
+        if len(set(variables)) != len(variables):
+            variables = tuple(dict.fromkeys(variables))
+        _set(self, "variables", variables)
 
     def as_hierarchical(self) -> HierarchicalModel:
         return HierarchicalModel(tuple(frozenset((i,)) for i in self.variables))

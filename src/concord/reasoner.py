@@ -44,15 +44,16 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .domain import (
     Alternative,
     Combiner,
+    Frozen,
     Statement,
     Triviality,
     VariableSpace,
+    _set,
     _top_bits,
     complement,
     dedupe_statements,
@@ -63,13 +64,20 @@ from .models import HierarchicalModel, LexicographicModel, satisfies_set
 from .results import ConsistencyResult, SearchStats
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(Frozen):
     """Capacity knobs; the defaults match the documented caps."""
 
-    max_vars_hier: int = 14
-    max_language: int = 1_000_000
-    timeout_ms: int | None = None
+    __slots__ = _fields = ("max_vars_hier", "max_language", "timeout_ms")
+
+    def __init__(
+        self,
+        max_vars_hier: int = 14,
+        max_language: int = 1_000_000,
+        timeout_ms: int | None = None,
+    ) -> None:
+        _set(self, "max_vars_hier", max_vars_hier)
+        _set(self, "max_language", max_language)
+        _set(self, "timeout_ms", timeout_ms)
 
 
 DEFAULT_LIMITS = Limits()
@@ -120,8 +128,7 @@ def _triviality(signs: Sequence[int], strict: bool) -> Triviality:
     return Triviality.NON_TRIVIAL
 
 
-@dataclass(frozen=True, slots=True)
-class SignRows:
+class SignRows(Frozen):
     """Per-variable comparison signs of a statement sequence, as bit lanes.
 
     ``rows[i]`` is statement ``i``'s ``(win, lose, strict)``: ``win`` has the
@@ -130,9 +137,12 @@ class SignRows:
     ``v`` holds bits ``v * width`` up to ``v * width + width - 1``.
     """
 
-    rows: list[tuple[int, int, bool]]
-    nvars: int
-    width: int
+    __slots__ = _fields = ("rows", "nvars", "width")
+
+    def __init__(self, rows: list[tuple[int, int, bool]], nvars: int, width: int) -> None:
+        _set(self, "rows", rows)
+        _set(self, "nvars", nvars)
+        _set(self, "width", width)
 
     @property
     def size(self) -> int:
@@ -153,7 +163,8 @@ class SignRows:
         return bit.bit_length() // self.width - 1
 
 
-# A row's strictness.
+# A row's lose bits and its strictness.
+_LOSE = operator.itemgetter(1)
 _STRICT = operator.itemgetter(2)
 
 
@@ -206,7 +217,7 @@ def _keep_row(s: Statement, nvars: int, top: int) -> tuple[int, int, bool] | Non
     if a is None or b is None:
         return None
     row = _sign_row(a, b, s.strict, top)
-    object.__setattr__(s, "sign_row", row)
+    _set(s, "sign_row", row)
     return row
 
 
@@ -243,14 +254,17 @@ def _rank_rows(
 def _lex_witness_ok(signs: SignRows, variables: Sequence[int]) -> bool:
     """Whether the lexicographic model over ``variables`` satisfies every row:
     the first of them at which a row is not tied must be a win, and a row
-    tied at all of them must be weak."""
+    tied at all of them must be weak.
+
+    Each step ORs the pending rows' lose bits once; when none loses at the
+    variable, the rows that do not win there are the ones tied."""
     pending = signs.rows
     for v in variables:
         bit = signs.bit(v)
-        if any(lose & bit for _, lose, _ in pending):
+        if functools.reduce(operator.or_, map(_LOSE, pending), 0) & bit:
             return False
-        pending = [r for r in pending if not (r[0] | r[1]) & bit]
-    return not any(strict for _, _, strict in pending)
+        pending = [r for r in pending if not r[0] & bit]
+    return not any(map(_STRICT, pending))
 
 
 def _greedy(

@@ -468,3 +468,19 @@ def test_cli_imports_the_oracle_only_for_its_subcommand():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_out_the_dataclass_machinery():
+    """``import concord`` and ``import concord.cli`` load neither
+    ``dataclasses`` nor ``inspect``: every ``concord`` process pays for what
+    these imports load."""
+    env = dict(os.environ, PYTHONPATH=str(Path(concord.__file__).parents[1]))
+    code = (
+        "import sys, concord, concord.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

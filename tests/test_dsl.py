@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concord import dsl
-from concord.domain import Combiner
+from concord.domain import Combiner, Profile
 from concord.errors import ParseError
 from concord.gadgets import (
     moral_machine_fixture,
@@ -283,11 +283,12 @@ def test_to_profile_rejects_degenerate_range():
 
 def test_from_profile_rejects_opaque_table():
     profile, _ = nonexistence_fixture()
-    import dataclasses
-
     table = tuple((a, b, a & b) for a in (0, 1) for b in (0, 1))
-    odd = dataclasses.replace(
-        profile, combiner=Combiner("table", table=table, universe=(0, 1))
+    odd = Profile(
+        profile.space,
+        Combiner("table", table=table, universe=(0, 1)),
+        profile.model_class,
+        profile.stakeholders,
     )
     with pytest.raises(ValueError):
         dsl.render_profile(odd)

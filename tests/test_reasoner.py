@@ -32,6 +32,7 @@ from concord.reasoner import (
     DEFAULT_LIMITS,
     Limits,
     Reasoner,
+    _lex_witness_ok,
     classify,
     classify_lex,
     entails,
@@ -350,6 +351,21 @@ def test_sign_matrix_reads_kept_rows_as_it_derives_them(data):
     assert [lane_signs(table, i) for i in range(len(listed))] == [
         UNSORTED.signs(s) for s in listed
     ]
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_lex_witness_check_is_satisfaction(data):
+    # Any variable sequence, repeats included, not only a greedy's witness.
+    n = data.draw(st.integers(1, 5))
+    c = data.draw(st.sampled_from((SUM, UNSORTED)))
+    side = st.tuples(*[st.sampled_from((2, 7))] * n)
+    drawn = data.draw(st.lists(st.tuples(side, side, st.booleans()), min_size=1, max_size=8))
+    statements = [stmt(a, b, strict) for a, b, strict in drawn]
+    variables = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    assert _lex_witness_ok(sign_matrix(statements, c)[0], variables) == satisfies_set(
+        LexicographicModel(tuple(variables)), statements, c
+    )
 
 
 def test_lex_consistency_ignores_duplicates():
