@@ -109,6 +109,41 @@ def lanes_at_most(a: int, b: int, top: int) -> int:
     return ((b | top) - a) & top
 
 
+def pack_lanes(values: Sequence[int]) -> int | None:
+    """``values`` as 8-bit lanes, value ``i`` in byte ``i``, or ``None``
+    when some value is outside 0..127 (or is not an integer)."""
+    try:
+        packed = bytes(values)
+    except (ValueError, TypeError):  # a value outside 0..255, or no int
+        return None
+    return int.from_bytes(packed, "little") if packed.isascii() else None
+
+
+def lane_bounds(
+    lows: Sequence[int], highs: Sequence[int]
+) -> tuple[int, int, int] | None:
+    """Per-variable bounds ``lows[i]..highs[i]`` in the form ``lanes_within``
+    reads: both packed (``pack_lanes``), and every lane's top bit. ``None``
+    when some bound is outside 0..127."""
+    lo, hi = pack_lanes(lows), pack_lanes(highs)
+    if lo is None or hi is None:
+        return None
+    return lo, hi, _top_bits(len(lows), 8)
+
+
+def lanes_within(lanes: int | None, bounds: tuple[int, int, int] | None) -> bool:
+    """Whether every lane of ``lanes`` lies inside its ``bounds``
+    (``lane_bounds``): two subtractions for all variables at once. It is
+    ``False`` when either is ``None``; the caller then looks value by value.
+    Both must have the same number of lanes, which the caller checks first.
+    ``VariableSpace.check_alternative`` and the parser's range check use it.
+    """
+    if lanes is None or bounds is None:
+        return False
+    lo, hi, top = bounds
+    return lanes_at_most(lanes, hi, top) & lanes_at_most(lo, lanes, top) == top
+
+
 class VariableSpace(Frozen):
     """An ordered tuple of named variables with finite integer domains.
 
@@ -150,10 +185,8 @@ class VariableSpace(Frozen):
             and dom == tuple(range(dom[0], dom[-1] + 1))
             for dom in domains
         ):
-            bounds = (
-                int.from_bytes(bytes(dom[0] for dom in domains), "little"),
-                int.from_bytes(bytes(dom[-1] for dom in domains), "little"),
-                _top_bits(len(domains), 8),
+            bounds = lane_bounds(
+                tuple(dom[0] for dom in domains), tuple(dom[-1] for dom in domains)
             )
         _set(self, "_lane_bounds", bounds)
 
@@ -174,11 +207,8 @@ class VariableSpace(Frozen):
     def check_alternative(self, alt: "Alternative") -> None:
         # Fast path: a packed alternative of the right arity, inside every
         # contiguous domain, needs two subtractions.
-        a, bounds = alt.lanes, self._lane_bounds
-        if a is not None and bounds is not None and len(alt.values) == self.size:
-            lo, hi, top = bounds
-            if lanes_at_most(a, hi, top) & lanes_at_most(lo, a, top) == top:
-                return
+        if len(alt.values) == self.size and lanes_within(alt.lanes, self._lane_bounds):
+            return
         if len(alt.values) != self.size:
             raise DomainMismatchError(
                 f"alternative has {len(alt.values)} values, space has {self.size}"
@@ -213,21 +243,21 @@ class Alternative(Frozen):
         # Alternatives are hashed constantly (statement dedup, model-set
         # keys), so the hash is computed once up front.
         _set(self, "_hash", hash(values))
-        lanes = None
-        try:
-            packed = bytes(values)
-        except (ValueError, TypeError):  # a value outside 0..255, or no int
-            pass
-        else:
-            if packed.isascii():
-                lanes = int.from_bytes(packed, "little")
-        _set(self, "lanes", lanes)
+        _set(self, "lanes", pack_lanes(values))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.values) + ")"
+
+
+def _table_lookup(seen: dict[tuple[int, int], int], a: int, b: int) -> int:
+    """A table combiner's ``op``: the entry for ``(a, b)`` in ``seen``."""
+    try:
+        return seen[(a, b)]
+    except KeyError:
+        raise DomainMismatchError(f"no table entry for ({a},{b})") from None
 
 
 class Combiner(Frozen):
@@ -293,15 +323,10 @@ class Combiner(Frozen):
         self._use_table(seen)
 
     def _use_table(self, seen: dict[tuple[int, int], int]) -> None:
-        """Derive ``op`` and ``rank`` from a checked table, as ``seen``."""
-
-        def lookup(a: int, b: int) -> int:
-            try:
-                return seen[(a, b)]
-            except KeyError:
-                raise DomainMismatchError(f"no table entry for ({a},{b})") from None
-
-        _set(self, "op", lookup)
+        """Derive ``op`` and ``rank`` from a checked table, as ``seen``. The
+        ``op`` is a module-level function bound to it, so a table combiner
+        pickles."""
+        _set(self, "op", functools.partial(_table_lookup, seen))
         _set(self, "rank", {v: i for i, v in enumerate(self.universe)})
 
     def fold(self, values: Sequence[int]) -> int:

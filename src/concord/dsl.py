@@ -25,19 +25,20 @@ levels always tie).
 
 The scanner is one pass of one regular expression. Tokens are plain
 ``(kind, text, offset)`` tuples; whitespace and comments are dropped. A
-tuple of integers with only whitespace or newlines between its parts is a
-single token, and its values are read in one step; any other tuple (a
-comment inside it, or a malformed one) is read element by element, so errors
-name the element at fault. Line and column are worked out from a token's
-offset only when a node's span or an error needs them, counting newlines
-forward from the last position asked for.
+statement whose two tuples hold only digits, signs, commas and whitespace is
+one ``stmt`` token, its values decoded as it is scanned through a table of
+canonical spellings (``int()`` for the rest). One that does not decode is
+scanned again in place past its ``(``, by the same expression, into element
+tokens that the parser reads one by one, as it reads any other tuple, so
+errors name the element at fault. Line and column are worked out from a
+token's offset only when a node's span or an error needs them, counting
+newlines forward from the last position asked for.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from operator import le
 
 from .domain import (
     Alternative,
@@ -48,6 +49,9 @@ from .domain import (
     Statement,
     VariableSpace,
     _set,
+    lane_bounds,
+    lanes_within,
+    pack_lanes,
 )
 from .errors import CapacityError, ParseError
 
@@ -101,10 +105,7 @@ class StatementNode(Frozen):
     _fields = ("left", "right", "strict")
 
     def __init__(
-        self,
-        left: tuple[int, ...],
-        right: tuple[int, ...],
-        strict: bool,
+        self, left: tuple[int, ...], right: tuple[int, ...], strict: bool,
         span: tuple[int, int] = (0, 0),
     ) -> None:
         _set(self, "left", left)
@@ -118,10 +119,7 @@ class StakeholderBlock(Frozen):
     _fields = ("name", "statements")
 
     def __init__(
-        self,
-        name: str,
-        statements: tuple[StatementNode, ...],
-        span: tuple[int, int] = (0, 0),
+        self, name: str, statements: tuple[StatementNode, ...], span: tuple[int, int] = (0, 0)
     ) -> None:
         _set(self, "name", name)
         _set(self, "statements", statements)
@@ -132,10 +130,7 @@ class Document(Frozen):
     __slots__ = _fields = ("variables", "combiner", "model_class", "stakeholders")
 
     def __init__(
-        self,
-        variables: tuple[VarDecl, ...],
-        combiner: str,
-        model_class: str,
+        self, variables: tuple[VarDecl, ...], combiner: str, model_class: str,
         stakeholders: tuple[StakeholderBlock, ...],
     ) -> None:
         _set(self, "variables", variables)
@@ -148,13 +143,14 @@ class Document(Frozen):
 # tokenizer
 
 # Alternatives are tried in order. Whitespace and comments match without a
-# group and are dropped; a "(" that does not open a whole "tuple" is a "sym";
+# group and are dropped; a "(" that does not open a whole "stmt" is a "sym";
 # "bad" takes any character nothing else does.
 _TOKEN_RE = re.compile(
     r"""
       [ \t\r]+
     | \#[^\n]*
-    | (?P<tuple>\([ \t\r\n]*-?\d+(?:[ \t\r\n]*,[ \t\r\n]*-?\d+)*[ \t\r\n]*\))
+    | (?P<stmt>\((?P<left>[-\d,\ \t\r\n]*)\)[ \t\r\n]*
+               (?P<op>>=?)[ \t\r\n]*\((?P<right>[-\d,\ \t\r\n]*)\))
     | (?P<nl>\n)
     | (?P<dots>\.\.)
     | (?P<ge>>=)
@@ -166,28 +162,50 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_INT_RE = re.compile(r"-?\d+")
+# Canonical spellings of small integers; any other spelling goes to int().
+_VALUES = {str(v): v for v in range(-128, 256)}
 
-# A token is (kind, text, offset): kind is "tuple", "nl", "dots", "ge", "int",
-# "name", "sym", "bad" or "eof"; offset indexes the document text.
-_Token = tuple[str, str, int]
+# A token is (kind, text, offset): kind is "stmt", "nl", "dots", "ge", "int",
+# "name", "sym", "bad" or "eof"; offset indexes the document text. A "stmt"
+# token goes on with its left values, right values and strictness.
+_Token = tuple
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = [
-        (kind, m.group(), m.start())
-        for m in _TOKEN_RE.finditer(text)
-        if (kind := m.lastgroup) is not None
-    ]
+    tokens, value = [], _VALUES.__getitem__
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "stmt":
+            left, op, right = m.group("left", "op", "right")
+            try:
+                try:
+                    sides = tuple(map(value, left.split(","))), tuple(map(value, right.split(",")))
+                except KeyError:
+                    sides = tuple(map(int, left.split(","))), tuple(map(int, right.split(",")))
+            except ValueError:  # a malformed body, or a value too long for int()
+                tokens += _rescan(text, m.start(), m.end())
+            else:
+                tokens.append(("stmt", m.group(), m.start(), *sides, op == ">"))
+        elif kind is not None:
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
+def _rescan(text: str, start: int, end: int) -> list[_Token]:
+    """The "stmt" at ``start:end`` as element tokens: "(", then the rest."""
+    return [("sym", "(", start)] + [
+        (kind, m.group(), m.start())
+        for m in _TOKEN_RE.finditer(text, start + 1, end)
+        if (kind := m.lastgroup) is not None
+    ]
+
+
 def _shown(tok: _Token) -> str:
-    """How an unexpected token reads in a message; a tuple shows its '('."""
+    """How an unexpected token reads in a message; a statement shows its '('."""
     if tok[0] == "eof":
         return "end of input"
-    return repr("(" if tok[0] == "tuple" else tok[1])
+    return repr("(" if tok[0] == "stmt" else tok[1])
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +229,7 @@ class _Parser:
     def declare(self, decls: tuple[VarDecl, ...]) -> None:
         """Set the variables that tuples are checked against."""
         self.decls = decls
-        self.lows = tuple(d.lo for d in decls)
-        self.highs = tuple(d.hi for d in decls)
+        self.bounds = lane_bounds(tuple(d.lo for d in decls), tuple(d.hi for d in decls))
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -269,9 +286,7 @@ class _Parser:
         self.advance()
 
     def parse_int(self) -> int:
-        return self.int_value(self.expect("int", what="an integer"))
-
-    def int_value(self, tok: _Token) -> int:
+        tok = self.expect("int", what="an integer")
         try:
             return int(tok[1])
         except ValueError:  # more digits than int() converts
@@ -313,67 +328,49 @@ class _Parser:
                 )
             seen.add(decl.name)
         self.expect_line_end()
+        combiner = self.parse_word_line("combiner", "combiner", COMBINER_WORDS, "bad-combiner")
+        model_class = self.parse_word_line("models", "model class", MODEL_WORDS, "bad-models")
+        return tuple(decls), combiner, model_class
 
+    def parse_word_line(self, keyword: str, what: str, words: tuple[str, ...], code: str) -> str:
+        """A header line of ``keyword`` and one of ``words``."""
         self.skip_newlines()
-        self.expect_keyword("combiner")
-        comb_tok = self.expect("name", what="a combiner word")
-        if comb_tok[1] not in COMBINER_WORDS:
+        self.expect_keyword(keyword)
+        tok = self.expect("name", what="a %s word" % what)
+        if tok[1] not in words:
             raise self.error(
-                "bad-combiner", comb_tok,
-                "unknown combiner %r (expected one of %s)"
-                % (comb_tok[1], ", ".join(COMBINER_WORDS)),
+                code, tok, "unknown %s %r (expected one of %s)" % (what, tok[1], ", ".join(words))
             )
         self.expect_line_end()
-
-        self.skip_newlines()
-        self.expect_keyword("models")
-        model_tok = self.expect("name", what="a model class word")
-        if model_tok[1] not in MODEL_WORDS:
-            raise self.error(
-                "bad-models", model_tok,
-                "unknown model class %r (expected one of %s)"
-                % (model_tok[1], ", ".join(MODEL_WORDS)),
-            )
-        self.expect_line_end()
-
-        return tuple(decls), comb_tok[1], model_tok[1]
+        return tok[1]
 
     # body -----------------------------------------------------------------
 
     def parse_tuple(self) -> tuple[tuple[int, ...], _Token]:
-        open_tok = self.peek()
-        if open_tok[0] == "tuple":
-            self.pos += 1
-            # The token is "(" ints ")" with only whitespace around the
-            # commas, and int() skips that whitespace.
-            try:
-                values = tuple(map(int, open_tok[1][1:-1].split(",")))
-            except ValueError:
-                # An element too long for int(): report it where it stands.
-                for m in _INT_RE.finditer(open_tok[1]):
-                    self.int_value(("int", m.group(), open_tok[2] + m.start()))
-                raise
-        else:
-            # A tuple the scanner did not take whole: read it element by
-            # element, so a malformed one is reported at its first bad part.
-            self.expect("sym", "(")
+        """A tuple outside a "stmt" token, read element by element."""
+        tok = self.peek()
+        if tok[0] == "stmt":  # only its left tuple belongs here: split it
+            self.tokens[self.pos:self.pos + 1] = _rescan(self.text, tok[2], tok[2] + len(tok[1]))
+        open_tok = self.expect("sym", "(")
+        self.skip_newlines()
+        elements = [self.parse_int()]
+        self.skip_newlines()
+        while self.at_sym(","):
+            self.advance()
             self.skip_newlines()
-            elements = [self.parse_int()]
+            elements.append(self.parse_int())
             self.skip_newlines()
-            while self.at_sym(","):
-                self.advance()
-                self.skip_newlines()
-                elements.append(self.parse_int())
-                self.skip_newlines()
-            self.expect("sym", ")")
-            values = tuple(elements)
+        self.expect("sym", ")")
+        values = tuple(elements)
+        self.check_tuple(values, open_tok)
+        return values, open_tok
+
+    def check_tuple(self, values: tuple[int, ...], open_tok: _Token) -> None:
+        """Arity and ranges of a tuple whose "(" is at ``open_tok``'s offset."""
         if len(values) != len(self.decls):
-            raise self.error(
-                "bad-tuple-arity", open_tok,
-                "tuple has %d values but %d variables are declared"
-                % (len(values), len(self.decls)),
-            )
-        if not (all(map(le, self.lows, values)) and all(map(le, values, self.highs))):
+            message = "tuple has %d values but %d variables are declared"
+            raise self.error("bad-tuple-arity", open_tok, message % (len(values), len(self.decls)))
+        if not lanes_within(pack_lanes(values), self.bounds):
             for decl, value in zip(self.decls, values):
                 if not decl.lo <= value <= decl.hi:
                     raise self.error(
@@ -381,19 +378,22 @@ class _Parser:
                         "value %d is outside %d..%d for variable %r"
                         % (value, decl.lo, decl.hi, decl.name),
                     )
-        return values, open_tok
 
     def parse_statement(self) -> StatementNode:
+        tok = self.peek()
+        if tok[0] == "stmt":
+            self.pos += 1
+            _, text, offset, left, right, strict = tok
+            self.check_tuple(left, tok)
+            self.check_tuple(right, ("sym", "(", offset + text.rindex("(")))
+            return StatementNode(left, right, strict, span=self.span(tok))
         left, open_tok = self.parse_tuple()
         self.skip_newlines()
         tok = self.peek()
-        if tok[0] == "ge":
-            strict = False
-        elif tok[0] == "sym" and tok[1] == ">":
-            strict = True
-        else:
+        if tok[1] not in (">", ">="):  # only a "sym" or a "ge" is spelled so
             raise self.error("syntax", tok, "expected '>' or '>=', got %s" % _shown(tok))
         self.advance()
+        strict = tok[1] == ">"
         self.skip_newlines()
         right, _ = self.parse_tuple()
         return StatementNode(left, right, strict, span=self.span(open_tok))

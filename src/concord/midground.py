@@ -501,11 +501,12 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
     best = 0
     found: list[tuple[int, ...]] = []
     nodes = 0
-
-    def descend(
-        i: int, picked: tuple[int, ...], taken: list[tuple[int, int, bool]], weight: int
-    ) -> None:
-        nonlocal best, found, nodes
+    # Depth first, taking class i before leaving it out, on an explicit
+    # stack: the depth is the number of classes, which can be thousands.
+    # A node is (i, picked, taken, weight).
+    stack: list[tuple[int, tuple[int, ...], list, int]] = [(0, (), [], 0)]
+    while stack:
+        i, picked, taken, weight = stack.pop()
         nodes += 1
         if not nodes & 1023:
             r.check_deadline()
@@ -515,15 +516,13 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
                 found = [picked]
             elif weight == best and weight > 0:
                 found.append(picked)
-            return
+            continue
         if weight + suffix[i] < best:
-            return
+            continue
+        stack.append((i + 1, picked, taken, weight))
         trial = taken + [rows[i]]
         if consistent(trial):
-            descend(i + 1, picked + (i,), trial, weight + weights[i])
-        descend(i + 1, picked, taken, weight)
-
-    descend(0, (), [], 0)
+            stack.append((i + 1, picked + (i,), trial, weight + weights[i]))
     stats["classes"] = len(classes)
     stats["nodes"] = nodes
     grounds = [

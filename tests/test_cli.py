@@ -184,6 +184,35 @@ def test_mg_construct_none(ne_file, capsys):
     assert payload["grounds"] == []
 
 
+# Its pool is 5,149 statements in 1,087 classes, all jointly consistent, so
+# the class search goes 1,087 levels deep along its first branch.
+DEEP_SEARCH_TEXT = """\
+vars w:0..2, x:0..2, y:0..2, z:0..2
+combiner max
+models hierarchical
+stakeholder p0 { (1,1,1,1) >= (1,2,2,2); (2,1,2,2) > (0,2,2,0); (2,1,1,0) >= (0,0,2,1) }
+stakeholder p1 { (2,0,2,1) >= (2,0,1,0); (1,1,0,0) > (0,1,0,1) }
+stakeholder p2 { (0,1,1,2) > (0,0,0,0); (0,0,1,2) >= (0,1,2,1) }
+"""
+
+
+def test_mg_construct_searches_a_thousand_classes_deep(tmp_path):
+    """A class search deeper than Python's recursion limit still answers."""
+    path = tmp_path / "deep.pref"
+    path.write_text(DEEP_SEARCH_TEXT)
+    env = dict(os.environ, PYTHONPATH=str(Path(concord.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "concord", "mg-construct", str(path), "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["verdict"] == "exists"
+    assert [len(g) for g in payload["grounds"]] == [5149]
+    assert (payload["stats"]["classes"], payload["stats"]["nodes"]) == (1087, 2175)
+
+
 # ---------------------------------------------------------------------------
 # gadget / oracle
 

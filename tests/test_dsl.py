@@ -168,6 +168,13 @@ _HEAD = "vars x:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n"
          "tuple has 3 values but 2 variables are declared", 4, 16),
         (_HEAD + "stakeholder p {(0,1) > (1,\n 2)}",
          "value 2 is outside 0..1 for variable 'y'", 4, 24),
+        # values with no 8-bit lane: negative, and above 127
+        (_HEAD + "stakeholder p {(0,-1) > (1,0)}",
+         "value -1 is outside 0..1 for variable 'y'", 4, 16),
+        (_HEAD + "stakeholder p {(1,0) >= (200,0)}",
+         "value 200 is outside 0..1 for variable 'x'", 4, 25),
+        (_HEAD + "stakeholder p {(1,0) >= (0,128)}",
+         "value 128 is outside 0..1 for variable 'y'", 4, 25),
         (_HEAD + "stakeholder p {(0,a) > (1,0)}", "expected an integer, got 'a'", 4, 19),
         (_HEAD + "stakeholder p {(0,1 > (1,0)}", "expected ), got '>'", 4, 21),
         (_HEAD + "stakeholder p {(0,1,) > (1,0)}", "expected an integer, got ')'", 4, 21),
@@ -175,7 +182,16 @@ _HEAD = "vars x:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n"
         (_HEAD + "stakeholder p {(0,\x0b1) > (1,0)}", "unexpected character '\\x0b'", 4, 19),
         (_HEAD + "stakeholder p {(0,1) > (1,", "expected an integer, got end of input", 4, 27),
         (_HEAD + "stakeholder p {(0,1) > (1,0)", "expected }, got end of input", 4, 29),
+        # malformed statement bodies, each between two parentheses
+        (_HEAD + "stakeholder p {(0,,1) > (1,0)}", "expected an integer, got ','", 4, 19),
+        (_HEAD + "stakeholder p {(0 1) > (1,0)}", "expected ), got '1'", 4, 19),
+        (_HEAD + "stakeholder p {() > (1,0)}", "expected an integer, got ')'", 4, 17),
+        (_HEAD + "stakeholder p {(0,1) > (1,0,)}", "expected an integer, got ')'", 4, 29),
+        (_HEAD + "stakeholder p {(0,-) > (1,0)}", "unexpected character '-'", 4, 19),
+        (_HEAD + "stakeholder p {(0,1) > = (1,0)}", "unexpected character '='", 4, 24),
         # integers longer than int() converts, in a whole tuple and in a range
+        (_HEAD + "stakeholder p {(0," + "9" * 5000 + ") > (1,0)}",
+         "integer has 5000 digits, more than the 4300 allowed", 4, 19),
         (_HEAD + "stakeholder p {(0,1) > (1,\n " + "9" * 5000 + ")}",
          "integer has 5000 digits, more than the 4300 allowed", 5, 2),
         ("vars x:0.." + "9" * 5000 + ", y:0..1\ncombiner sum\nmodels hierarchical\n"
@@ -340,6 +356,36 @@ def documents(draw):
 @settings(max_examples=200)
 def test_render_parse_round_trip(doc):
     assert dsl.parse(dsl.render(doc)) == doc
+
+
+_GAPS = ("", "", " ", "\t", "\n", "\r\n", " \t\r\n  ")
+
+
+@given(documents(), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_spacing_and_spelling_leave_the_document_unchanged(doc, rng):
+    """Whitespace around every comma, parenthesis and operator, and values
+    spelled with leading zeros or as -0, parse as the canonical text does."""
+    def gap() -> str:
+        return rng.choice(_GAPS)
+
+    def spell(v: int) -> str:
+        sign = "-" if v < 0 or (v == 0 and rng.random() < 0.5) else ""
+        return sign + "0" * rng.randint(0, 2) + str(abs(v))
+
+    def tuple_text(values) -> str:
+        return "(" + ",".join(gap() + spell(v) + gap() for v in values) + ")"
+
+    blocks = []
+    for block in doc.stakeholders:
+        statements = (gap() + ";" + gap()).join(
+            tuple_text(s.left) + gap() + (">" if s.strict else ">=") + gap()
+            + tuple_text(s.right)
+            for s in block.statements
+        )
+        blocks.append("stakeholder %s {%s%s%s}" % (block.name, gap(), statements, gap()))
+    head = dsl.render(dsl.Document(doc.variables, doc.combiner, doc.model_class, ()))
+    assert dsl.parse(head + gap().join(blocks)) == doc
 
 
 @given(st.text(alphabet=string.printable, max_size=120))

@@ -17,6 +17,7 @@ from concord.domain import (
     VariableSpace,
 )
 from concord.dsl import Document, StakeholderBlock, StatementNode, VarDecl
+from concord.errors import DomainMismatchError
 from concord.models import HierarchicalModel, LexicographicModel
 from concord.reasoner import Limits, SignRows, is_consistent_hier, sign_matrix
 from concord.results import (
@@ -234,6 +235,46 @@ class TestValueObject:
             with pytest.raises(AttributeError):
                 setattr(twin, type(obj).__slots__[0], None)
         assert copy.copy(obj) == obj
+
+
+# The table combiner of ``combiner tie``, apart from CASES (one row per
+# class): its ``op`` is a module-level lookup bound with ``functools.partial``,
+# which compares by identity, so ``op`` is compared by its results over the
+# universe.
+_TIE_TABLE = tuple((a, b, 2) for a in (0, 1, 2) for b in (0, 1, 2))
+_TIE_REPR = f"Combiner(kind='table', table={_TIE_TABLE!r}, universe=(0, 1, 2))"
+
+
+def _tie_slots(c: Combiner) -> dict:
+    return dict(_slots(c), op=[c.op(a, b) for a in c.universe for b in c.universe])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Combiner("table", table=_TIE_TABLE, universe=(0, 1, 2)),
+        lambda: Combiner.tie_over((0, 1)),
+    ],
+    ids=["constructor", "tie_over"],
+)
+def test_tie_combiner_keeps_the_contract(build):
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b) and repr(a) == _TIE_REPR
+    for name in ("op", "rank"):
+        object.__setattr__(b, name, (9, 9))
+    assert a == b and hash(a) == hash(b) and repr(b) == _TIE_REPR
+    for name in Combiner.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin is not a and type(twin) is Combiner
+        assert _tie_slots(twin) == _tie_slots(a)
+        assert twin == a and repr(twin) == _TIE_REPR
+    assert copy.copy(a) == a
+    with pytest.raises(DomainMismatchError, match=r"no table entry for \(0,7\)"):
+        pickle.loads(pickle.dumps(a)).op(0, 7)
 
 
 def test_results_get_a_fresh_stats_dict_each():
