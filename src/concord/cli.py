@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -39,6 +40,7 @@ from .reasoner import (
 __all__ = ["main"]
 
 _CONFIG_KEYS = ("max_vars_hier", "max_language", "timeout_ms")
+_LANGUAGES = ("full", "binary", "candidates")
 
 
 class _InputError(ConcordError):
@@ -233,13 +235,7 @@ def _cmd_mg_construct(args: argparse.Namespace) -> int:
         postulates = {}
         for i, ground in enumerate(res.grounds):
             report = midground._check_postulates(ground, profile, True, r)
-            postulates["ground-%d" % i] = {
-                "p1": report.p1.verdict,
-                "p2": report.p2.verdict,
-                "p3": report.p3.verdict,
-                "p4": report.p4.verdict,
-                "p5": report.p5.verdict,
-            }
+            postulates["ground-%d" % i] = {p: getattr(report, p).verdict for p in report._fields}
     stats = dict(res.stats, exhaustive=res.exhaustive)
     return _emit_grounds(args, "mg-construct", res.grounds, stats, postulates)
 
@@ -331,9 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mg-construct", help="construct all middle grounds")
     _add_common(p)
-    p.add_argument(
-        "--language", choices=("full", "binary", "candidates"), default=None
-    )
+    p.add_argument("--language", choices=_LANGUAGES)
     p.add_argument("--verify", action="store_true", help="check postulates per ground")
     p.set_defaults(func=_cmd_mg_construct)
 
@@ -357,9 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=_cmd_oracle)
     o = oracle_subs.add_parser("mgs")
     _add_common(o)
-    o.add_argument(
-        "--language", choices=("full", "binary", "candidates"), default=None
-    )
+    o.add_argument("--language", choices=_LANGUAGES)
     o.set_defaults(func=_cmd_oracle)
 
     return parser
@@ -373,11 +365,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code if code == 0 else 2
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (DomainMismatchError, TrivialStakeholderError, _InputError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone (``| head``). Output follows a computed answer,
+        # so the code is 0; the flush at exit goes to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (ParseError, DomainMismatchError, TrivialStakeholderError, _InputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (CapacityError, IndeterminateError) as exc:

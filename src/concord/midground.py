@@ -12,8 +12,12 @@ one is and every member is in the pool, and is left not-checked otherwise.
 Construction follows the candidate-filter route: keep the statements of a
 language that individually pass the non-triviality, compatibility and
 entailment filters, then return all cardinality-maximal consistent subsets of
-that pool. Equivalent statements are grouped first so the search runs over
-equivalence classes; a maximal subset always takes whole classes.
+that pool. Those are exactly the pool slices of the models that satisfy the
+most pool statements: a consistent subset holds in some model, so it lies
+in that model's slice, which is consistent too. So ``_best_slices``
+searches models, not subsets, under both model classes: a memoised sweep
+over model prefixes, on classes of equivalent statements. Its worst case
+stays exponential, and the request's deadline bounds it.
 
 Each entry point asks all its questions of one ``Reasoner``, made for the
 call, so every statement's hierarchical level row is compiled once per
@@ -31,21 +35,18 @@ and its ``candidates`` are read off pair rows as non-trivial statements
 (``_hier_candidates``), and every other language is classified there.
 
 The inner questions (P3 compatibility, P4 entailment, the stakeholder
-check, the class search and the P5 split test) read only a verdict, so they
-build no witness. Under hierarchical models they run on the ``Reasoner``'s
-rows: the class search and the P5 split test carry lists of rows, and
-entailment appends the complement's row (the statement's row swapped, its
-strictness flipped). P3 needs no greedy at all. For statements ``s`` and
-``u`` that are each consistent alone, ``{s, u}`` is consistent iff some
-level is won by either and lost by neither when either is strict, or lost
-by neither when both are weak (``Reasoner._pair_consistent``). That is
-complete because the greedy is: it fails only where no such first level
-exists, and after one, each row still pending ties there and, being
-consistent alone, finishes on its own; a lone statement that is not a
-contradiction always does. Union statements meet the precondition once the
-stakeholder check has passed, and a candidate that is a contradiction is
-caught first. P4 for a one-statement stakeholder is the same test, negated,
-on the candidate's complement row (``Reasoner.entailed_by_some``).
+check, the sweep and the P5 split test) read only a verdict, so they build
+no witness. The sweep and the P5 split test run on the rows
+``Reasoner.search_rows`` makes under either model class; under hierarchical
+models entailment appends the complement's row (the statement's row
+swapped, its strictness flipped). P3 needs no greedy at all. For statements
+``s`` and ``u`` that are each consistent alone, ``{s, u}`` is consistent
+iff some level is won by either and lost by neither when either is strict,
+or lost by neither when both are weak (``Reasoner._pair_consistent`` gives
+the argument). Union statements meet the precondition once the stakeholder
+check has passed, and a candidate that is a contradiction is caught first.
+P4 for a one-statement stakeholder is the same test, negated, on the
+candidate's complement row (``Reasoner.entailed_by_some``).
 
 What leaves the process is decided by ``Reasoner.is_consistent``, which
 builds a witness and re-checks it statement by statement: every ground
@@ -54,7 +55,7 @@ builds a witness and re-checks it statement by statement: every ground
 
 The request's deadline (``Limits.timeout_ms``) is armed when its
 ``Reasoner`` is made. The greedy, the candidate-language build, the pool
-filter and the class search read it, so a timeout stops the whole request.
+filter and the sweep read it, so a timeout stops the whole request.
 """
 
 from __future__ import annotations
@@ -187,12 +188,9 @@ def full_language(
 ) -> tuple[Statement, ...]:
     """Every weak and strict comparison between two alternatives of the space."""
     _check_full_language(space, limits)
-    out: list[Statement] = []
     alts = list(space.alternatives())
-    for a, b in itertools.product(alts, alts):
-        out.append(Statement(a, b, strict=False))
-        out.append(Statement(a, b, strict=True))
-    return tuple(out)
+    pairs = itertools.product(alts, alts)
+    return tuple(Statement(a, b, strict) for a, b in pairs for strict in (False, True))
 
 
 def binary_language(
@@ -487,48 +485,15 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
         stats["nodes"] = 0
         return MiddleGroundSet(grounds=(), exhaustive=exhaustive, stats=stats)
     classes = _group_equivalent(pool, r)
-    order = sorted(
-        range(len(classes)), key=lambda i: (-len(classes[i]), i)
-    )
-    ordered = [classes[i] for i in order]
-    # Members of a class hold in the same models, so its first one's row
-    # stands for it.
-    rows, consistent = r.search_rows([cls[0] for cls in ordered])
-    weights = [len(cls) for cls in ordered]
-    suffix = [0] * (len(ordered) + 1)
-    for i in range(len(ordered) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
-    best = 0
-    found: list[tuple[int, ...]] = []
-    nodes = 0
-    # Depth first, taking class i before leaving it out, on an explicit
-    # stack: the depth is the number of classes, which can be thousands.
-    # A node is (i, picked, taken, weight).
-    stack: list[tuple[int, tuple[int, ...], list, int]] = [(0, (), [], 0)]
-    while stack:
-        i, picked, taken, weight = stack.pop()
-        nodes += 1
-        if not nodes & 1023:
-            r.check_deadline()
-        if i == len(ordered):
-            if weight > best:
-                best = weight
-                found = [picked]
-            elif weight == best and weight > 0:
-                found.append(picked)
-            continue
-        if weight + suffix[i] < best:
-            continue
-        stack.append((i + 1, picked, taken, weight))
-        trial = taken + [rows[i]]
-        if consistent(trial):
-            stack.append((i + 1, picked + (i,), trial, weight + weights[i]))
     stats["classes"] = len(classes)
-    stats["nodes"] = nodes
-    grounds = [
-        tuple(itertools.chain.from_iterable(ordered[i] for i in picked))
-        for picked in found
-    ]
+    # Members of a class hold in the same models, so its first one's row
+    # stands for it. Class i owns the bits of its members in ``members``.
+    rows, everything = r.search_rows([cls[0] for cls in classes])
+    members = tuple(itertools.chain.from_iterable(classes))
+    ends = list(itertools.accumulate(map(len, classes)))
+    masks = [(1 << end) - (1 << start) for start, end in zip([0] + ends, ends)]
+    slices, stats["nodes"] = _best_slices(rows, masks, everything, r)
+    grounds = [tuple(itertools.compress(members, map(int, bin(m)[:1:-1]))) for m in slices]
     # The search asked for verdicts only; what is returned gets a witness,
     # re-checked statement by statement.
     for ground in grounds:
@@ -538,6 +503,53 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
     return MiddleGroundSet(
         grounds=canonical_grounds(grounds), exhaustive=exhaustive, stats=stats
     )
+
+
+def _best_slices(
+    rows: list[tuple[int, int, bool]], masks: list[int], everything: int, r: Reasoner
+) -> tuple[set[int], int]:
+    """The pool slices of the maximum-weight models, as masks, and the
+    number of states swept.
+
+    Class ``i`` has row ``rows[i]`` and owns pool bits ``masks[i]``, so a
+    slice weighs its bit count. A state is the mask of the classes still
+    tied. A step, a bit of ``everything``, counts only if it decides one of
+    them: it adds those it wins and drops those it decides; stopping adds
+    the weak ones left. A step taken decides every tied class it touches,
+    so no step repeats, and a lexicographic model takes each variable once.
+    A model needs a step, so the first state may stop only if some step
+    decides no class. Each state is expanded once, reading the deadline;
+    moves lead to smaller masks, so states are settled in increasing order,
+    with no recursion (a path can take a step per class).
+    """
+    won_at: dict[int, int] = {}
+    decided_at: dict[int, int] = {}
+    for (win, lose, _), mask in zip(rows, masks):
+        for at, bits in ((won_at, win), (decided_at, win | lose)):
+            while bits:
+                step = bits & -bits
+                at[step] = at.get(step, 0) | mask
+                bits ^= step
+    # Steps that win and decide the same classes move alike.
+    steps = {(won_at.get(step, 0), decided) for step, decided in decided_at.items()}
+    weak = sum(mask for (_, _, strict), mask in zip(rows, masks) if not strict)
+    root, idle = sum(masks), sum(decided_at) != everything
+    moves: dict[int, list[tuple[int, int]]] = {}
+    todo = [root]
+    while todo:
+        tied = todo.pop()
+        if tied not in moves:
+            r.check_deadline()
+            moves[tied] = [(won & tied, tied & ~dec) for won, dec in steps if dec & tied]
+            todo.extend(rest for _, rest in moves[tied] if rest not in moves)
+    best: dict[int, tuple[int, set[int]]] = {}
+    for tied in sorted(moves):
+        ways = [(won.bit_count() + best[rest][0], won, best[rest][1]) for won, rest in moves[tied]]
+        if idle or tied != root:
+            ways.append(((weak & tied).bit_count(), weak & tied, {0}))
+        top = max(way[0] for way in ways)
+        best[tied] = top, {won | s for w, won, after in ways if w == top for s in after}
+    return best[root][1], len(moves)
 
 
 def check_postulates(
@@ -643,14 +655,15 @@ def _p5_verdict(cand: Sequence[Statement], facts: _Facts, r: Reasoner) -> str:
     seen = set(members)
     lex = r.model_class == "lex"
     lang = binary_language(r.space, r.limits) if lex else _hier_candidates(r)
-    rows, consistent = r.search_rows(reps + lang)
+    rows, steps = r.search_rows(reps + lang)
     taken = rows[: len(reps)]
+    verdict = r.consistent_rows
     for s, row in zip(lang, rows[len(reps):]):
         key = r.equivalence_key(s)
         if key in seen:
             continue
         seen.add(key)
-        split = consistent(taken + [row]) and consistent(taken + [complement_row(row)])
+        split = verdict(taken + [row], steps) and verdict(taken + [complement_row(row)], steps)
         if split and all(_verdicts(s, key, facts, r)):
             every = all(all(_verdicts(m, k, facts, r)) for k, m in members.items())
             return FAIL if every else NOT_CHECKED

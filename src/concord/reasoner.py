@@ -44,7 +44,7 @@ import itertools
 import math
 import operator
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .domain import (
     Alternative,
@@ -661,30 +661,23 @@ class Reasoner:
             return _lex_consistent_from_signs(signs)[0] is not None
         return self.consistent_rows(self.rows(statements))
 
-    def consistent_rows(self, rows: list[tuple[int, int, bool]]) -> bool:
-        """``consistent`` for hierarchical statements given by their rows."""
-        return self._hier_path(rows)[0] is not None
+    def consistent_rows(self, rows: list, everything: int | None = None) -> bool:
+        """``consistent`` for statements given by their rows: hierarchical
+        ones, or any that ``search_rows`` made, with its ``everything``."""
+        return self._path(rows, everything)[0] is not None
 
     def search_rows(
         self, statements: Sequence[Statement]
-    ) -> tuple[list[tuple[int, int, bool]], Callable[[list], bool]]:
-        """The statements' rows, and the verdict on any list of them.
-
-        Searches over subsets of a fixed set of statements use it. Under
-        hierarchical models the verdict is ``consistent_rows``. Lexicographic
-        rows are packed over the whole set at once (``sign_matrix``), so
-        every subset shares one lane width.
-        """
+    ) -> tuple[list[tuple[int, int, bool]], int]:
+        """The statements' rows, and every step a model can take, as one
+        mask: the canonical levels (``all_levels``) under hierarchical
+        models, every variable's lane bit under lexicographic ones, whose
+        rows are packed over the whole set at once (``sign_matrix``) so that
+        they share one lane width."""
         if self.model_class != "lex":
-            return self.rows(statements), self.consistent_rows
+            return self.rows(statements), self.all_levels
         signs, _ = sign_matrix(statements, self.c)
-        nvars, width = signs.nvars, signs.width
-
-        def consistent(rows: list) -> bool:
-            taken = SignRows(rows, nvars, width)
-            return _lex_consistent_from_signs(taken)[0] is not None
-
-        return signs.rows, consistent
+        return signs.rows, signs.lanes
 
     def is_consistent(self, statements: Sequence[Statement]) -> ConsistencyResult:
         """Consistency with a constructed, re-checked witness.
@@ -702,7 +695,7 @@ class Reasoner:
         if self.model_class == "lex":
             return is_consistent_lex(statements, self.space, self.c, self.limits)
         stmts = dedupe_statements(statements)
-        path, nodes = self._hier_path(self.rows(stmts))
+        path, nodes = self._path(self.rows(stmts))
         if path is None:
             return ConsistencyResult(False, None, SearchStats(nodes, max(nodes - 1, 0)))
         n = self.space.size
@@ -717,19 +710,17 @@ class Reasoner:
             raise RuntimeError("internal error: hierarchical witness failed re-check")
         return ConsistencyResult(True, witness, SearchStats(nodes, nodes))
 
-    def _hier_path(
-        self, rows: list[tuple[int, int, bool]]
-    ) -> tuple[list[int] | None, int]:
-        """The hierarchical greedy on rows: a witness's levels as canonical
-        level bits (``None`` when inconsistent), and the greedy's node count.
-
-        With only weak statements the greedy takes no level; a model needs
-        one, and any level at which nothing loses will do (level 0 for the
-        empty set).
-        """
+    def _path(self, rows: list, everything: int | None = None) -> tuple[list[int] | None, int]:
+        """The greedy on rows: a model's steps, bits of ``everything`` (the
+        canonical levels by default), or ``None`` when inconsistent, and the
+        node count; hierarchical rows are held to the cap. With only weak
+        rows the greedy takes no step; a model needs one, and any step at
+        which nothing loses will do. Without ``settle_weak`` the greedy takes
+        the same steps, only fewer, so on lexicographic rows the verdict is
+        ``_lex_consistent_from_signs``'s."""
         n = self.space.size
         cap = self.limits.max_vars_hier
-        if n > cap:
+        if n > cap and self.model_class != "lex":
             raise CapacityError(
                 f"hierarchical search capped at {cap} variables, got {n}"
             )
@@ -737,7 +728,7 @@ class Reasoner:
         if stalled:
             return None, len(path) + 1
         if not path:
-            safe = _lowest_safe(rows, self.all_levels)
+            safe = _lowest_safe(rows, self.all_levels if everything is None else everything)
             return ([safe] if safe else None), 0
         return path, len(path)
 

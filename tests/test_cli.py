@@ -185,7 +185,7 @@ def test_mg_construct_none(ne_file, capsys):
 
 
 # Its pool is 5,149 statements in 1,087 classes, all jointly consistent, so
-# the class search goes 1,087 levels deep along its first branch.
+# a path of the middle-ground sweep can take a step per class.
 DEEP_SEARCH_TEXT = """\
 vars w:0..2, x:0..2, y:0..2, z:0..2
 combiner max
@@ -197,7 +197,8 @@ stakeholder p2 { (0,1,1,2) > (0,0,0,0); (0,0,1,2) >= (0,1,2,1) }
 
 
 def test_mg_construct_searches_a_thousand_classes_deep(tmp_path):
-    """A class search deeper than Python's recursion limit still answers."""
+    """A middle-ground search whose paths could run deeper than Python's
+    recursion limit still answers; ``nodes`` counts the states it swept."""
     path = tmp_path / "deep.pref"
     path.write_text(DEEP_SEARCH_TEXT)
     env = dict(os.environ, PYTHONPATH=str(Path(concord.__file__).parents[1]))
@@ -210,7 +211,45 @@ def test_mg_construct_searches_a_thousand_classes_deep(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["verdict"] == "exists"
     assert [len(g) for g in payload["grounds"]] == [5149]
-    assert (payload["stats"]["classes"], payload["stats"]["nodes"]) == (1087, 2175)
+    assert (payload["stats"]["classes"], payload["stats"]["nodes"]) == (1087, 2480)
+
+
+# The smallest of the planted random lexicographic profiles on which the
+# branch and bound that searched subsets of classes never finished.
+LEX_HANG_TEXT = """\
+vars a:0..1, b:0..1, c:0..1, d:0..1
+combiner product
+models lexicographic
+stakeholder p0 { (0,1,0,1) > (0,0,1,1); (1,0,0,1) >= (0,1,0,0); (0,1,1,1) >= (0,1,1,0) }
+stakeholder p1 { (0,0,1,0) >= (1,0,0,1) }
+"""
+
+
+def test_mg_construct_lexicographic_document_that_hung(tmp_path, capsys):
+    """162 statements, a pool of 37 in 37 classes: one ground of 32. The
+    request takes about 10 ms; its timeout is far above that, so a hang
+    fails fast."""
+    path = tmp_path / "lex_hang.pref"
+    path.write_text(LEX_HANG_TEXT)
+    code, payload, err = run_json(
+        capsys, "mg-construct", str(path), "--verify", "--timeout-ms", "2000"
+    )
+    assert code == 0, err
+    assert [len(g) for g in payload["grounds"]] == [32]
+    assert set(payload["postulates"]["ground-0"].values()) == {"pass"}
+
+
+def test_mg_construct_nonuniqueness_binary_language(data_dir, capsys):
+    """Four grounds of 35 over the binary language, each passing P1-P5;
+    the subset search never finished here."""
+    code, payload, err = run_json(
+        capsys, "mg-construct", str(data_dir / "nonuniqueness.pref"),
+        "--language", "binary", "--verify", "--timeout-ms", "2000",
+    )
+    assert code == 0, err
+    assert [len(g) for g in payload["grounds"]] == [35] * 4
+    for checks in payload["postulates"].values():
+        assert set(checks.values()) == {"pass"}
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +362,18 @@ def test_domains_at_the_caps_are_accepted(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["mg-construct", "nonuniqueness.pref", "--language", "binary", "--timeout-ms", "200"],
+        ["mg-construct", "wide_deep.pref", "--verify", "--timeout-ms", "200"],
         ["mg-construct", "moral_machine.pref", "--timeout-ms", "100"],
     ],
-    ids=["nonuniqueness-binary", "moral-machine"],
+    ids=["wide-deep-verify", "moral-machine"],
 )
-def test_timeout_binds_the_whole_request(argv, data_dir):
+def test_timeout_binds_the_whole_request(argv, data_dir, tmp_path):
     """The deadline is armed once per request, so a command made of many
-    short greedy calls (or, for nonuniqueness over the binary language, a
-    class search that would not finish) stops with exit 3."""
+    short greedy calls stops with exit 3. ``wide_deep.pref`` is the deep
+    document over domains 0..3: a language of 131,072 statements, whose
+    construction and audit take about 2.5 s with no deadline."""
+    (tmp_path / "wide_deep.pref").write_text(DEEP_SEARCH_TEXT.replace("0..2", "0..3"))
+    argv = [str(tmp_path / a) if a == "wide_deep.pref" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(concord.__file__).parents[1]))
     t0 = time.monotonic()
     proc = subprocess.run(
@@ -341,6 +383,22 @@ def test_timeout_binds_the_whole_request(argv, data_dir):
     assert proc.returncode == 3, proc.stderr
     assert "timed out" in proc.stderr
     assert time.monotonic() - t0 < 10
+
+
+def test_closed_pipe_ends_quietly(data_dir):
+    """A reader that stops after the first line (``| head -1``) leaves no
+    traceback and no error exit. The text output is about 500 KB, far more
+    than a pipe holds, so the writer meets the closed pipe."""
+    env = dict(os.environ, PYTHONPATH=str(Path(concord.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "concord", "mg-construct", "moral_machine.pref"],
+        cwd=data_dir, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"exists\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from concord.domain import (
     Triviality,
     VariableSpace,
 )
-from concord import midground, reasoner
+from concord import dsl, midground, reasoner
 from concord.errors import CapacityError, TrivialStakeholderError
 from concord.midground import (
     _candidate_pool,
@@ -654,23 +654,91 @@ def test_hier_candidates_refuse_a_large_space_before_building_it(monkeypatch):
     assert report.p5.verdict == NOT_CHECKED
 
 
-def test_construct_lex_matches_oracle_small():
-    rng = random.Random(11)
-    done = 0
-    while done < 25:
-        n = rng.randint(1, 2)
-        sp = VariableSpace.binary(tuple("v%d" % i for i in range(n)))
+# Planted random lexicographic profiles of four variables on which the
+# branch and bound that searched subsets of classes ran past its deadline,
+# by combiner; the product one is the smallest of those found, 37 classes.
+SLOW_LEX_DOCS = {
+    "product": """vars a:0..1, b:0..1, c:0..1, d:0..1
+combiner product
+models lexicographic
+stakeholder p0 { (0,1,0,1) > (0,0,1,1); (1,0,0,1) >= (0,1,0,0); (0,1,1,1) >= (0,1,1,0) }
+stakeholder p1 { (0,0,1,0) >= (1,0,0,1) }
+""",
+    "or": """vars a:0..1, b:0..1, c:0..1, d:0..1
+combiner or
+models lexicographic
+stakeholder p0 { (0,1,1,1) > (1,0,1,1); (1,0,1,1) > (1,0,0,0) }
+stakeholder p1 { (0,1,0,0) >= (1,1,1,0) }
+stakeholder p2 { (1,1,1,1) >= (1,0,1,1); (1,0,0,0) >= (1,1,0,1); (1,1,1,0) >= (0,0,1,0) }
+""",
+    "max": """vars a:0..2, b:0..2, c:0..2, d:0..2
+combiner max
+models lexicographic
+stakeholder p0 { (2,1,1,0) > (2,2,0,2); (1,2,1,2) > (2,1,1,2) }
+stakeholder p1 { (0,2,1,0) > (1,2,0,0); (2,2,2,2) > (2,0,0,1); (0,2,0,1) >= (0,0,1,1) }
+""",
+    "sum": """vars a:0..1, b:0..1, c:0..1, d:0..1
+combiner sum
+models lexicographic
+stakeholder p0 { (1,0,0,0) > (0,1,0,0); (1,0,1,0) >= (0,0,1,1) }
+stakeholder p1 { (1,1,1,1) >= (1,0,1,1); (0,1,0,0) > (0,0,0,0); (0,1,1,1) > (1,0,1,0) }
+stakeholder p2 { (1,1,1,1) >= (0,1,0,0); (1,0,0,1) >= (1,0,1,0) }
+""",
+    "tie": """vars a:0..2, b:0..2, c:0..2, d:0..2
+combiner tie
+models lexicographic
+stakeholder p0 { (2,2,1,0) > (1,1,2,2) }
+stakeholder p1 { (2,2,1,2) >= (1,1,2,1) }
+stakeholder p2 { (2,0,0,0) >= (0,1,0,1); (1,0,2,0) > (2,0,1,2) }
+""",
+    "min": """vars a:0..2, b:0..2, c:0..2, d:0..2
+combiner min
+models lexicographic
+stakeholder p0 { (2,1,2,2) > (0,0,0,1); (2,0,2,0) >= (0,2,2,2) }
+stakeholder p1 { (2,0,1,1) > (2,2,0,2) }
+stakeholder p2 { (0,0,0,2) >= (0,1,1,0); (0,0,2,1) >= (1,0,2,1) }
+""",
+}
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS + ("tie",))
+@pytest.mark.parametrize("model_class", ["lex", "hier"])
+def test_construct_matches_oracle_small(model_class, kind):
+    """Twenty random profiles of three stakeholders over one or two binary
+    variables, seeded by the case, over the whole language (the sign-form
+    one under lexicographic models), and the case's slow document if it has
+    one. About 60% of the random ones have an inconsistent union."""
+    rng = random.Random(model_class + kind)
+    profiles = []
+    while len(profiles) < 20:
+        sp = VariableSpace.binary(tuple("v%d" % i for i in range(rng.randint(1, 2))))
+        c = Combiner.tie_over((0, 1)) if kind == "tie" else Combiner(kind)
         try:
-            profile = random_profile(rng, sp, SUM, "lex", 2, 2)
+            profiles.append(random_profile(rng, sp, c, model_class, 3, 2))
         except RuntimeError:
             continue
-        lang = binary_language(sp)
+    if model_class == "lex" and kind in SLOW_LEX_DOCS:
+        profiles.append(dsl.parse_profile(SLOW_LEX_DOCS[kind]))
+    for profile in profiles:
+        if model_class == "lex":
+            lang = binary_language(profile.space)
+        else:
+            lang = full_language(profile.space)
         built = construct_mgs(profile, lang)
         brute = brute_mgs(profile, lang)
         assert set(map(frozenset, built.grounds)) == set(
             map(frozenset, brute.grounds)
         ), profile
-        done += 1
+
+
+def test_sweep_takes_a_step_before_it_stops():
+    """Two weak classes, each lost where the other wins: together they hold
+    only in a model that takes no step, which there is none of, unless some
+    step decides neither."""
+    r = Reasoner(SP2, SUM, "lex")
+    rows = [(0b10, 0b01, False), (0b01, 0b10, False)]
+    assert midground._best_slices(rows, [0b01, 0b10], 0b11, r) == ({0b01, 0b10}, 2)
+    assert midground._best_slices(rows, [0b01, 0b10], 0b111, r)[0] == {0b11}
 
 
 def test_construct_grounds_pairwise_inconsistent_and_maximal():

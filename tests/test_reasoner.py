@@ -32,6 +32,7 @@ from concord.reasoner import (
     DEFAULT_LIMITS,
     Limits,
     Reasoner,
+    _lex_consistent_from_signs,
     _lex_witness_ok,
     classify,
     classify_lex,
@@ -383,6 +384,24 @@ def test_lex_consistency_ignores_duplicates():
             want.consistent, want.witness, want.stats
         ), listed
         verdicts.add(got.consistent)
+    assert verdicts == {True, False}
+
+
+def test_row_verdict_is_the_lexicographic_verdict():
+    """``Reasoner.consistent_rows`` stops the greedy once no strict row is
+    pending; on lexicographic rows and their lanes its verdict is still
+    ``_lex_consistent_from_signs``'s."""
+    rng = random.Random(15)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        sp = VariableSpace(tuple("v%d" % i for i in range(n)), ((0, 1, 2),) * n)
+        statements = [random_statement(rng, sp) for _ in range(rng.randint(1, 6))]
+        signs, _ = sign_matrix(statements, SUM)
+        want = _lex_consistent_from_signs(signs)[0] is not None
+        got = Reasoner(sp, SUM, "lex").consistent_rows(signs.rows, signs.lanes)
+        assert got == want, statements
+        verdicts.add(want)
     assert verdicts == {True, False}
 
 
