@@ -104,7 +104,7 @@ def lanes_at_most(a: int, b: int, top: int) -> int:
     ``top_v + b_v - a_v``, which is positive, so no lane borrows from the
     next, and its top bit is set exactly where ``a_v <= b_v``: every lane in
     two operations (the borrow trick). The lexicographic sign rows
-    (``reasoner.sign_matrix``) and ``VariableSpace.check_alternative`` use it.
+    (``reasoner.sign_matrix``) use it, and ``lanes_within`` inlines it.
     """
     return ((b | top) - a) & top
 
@@ -141,7 +141,9 @@ def lanes_within(lanes: int | None, bounds: tuple[int, int, int] | None) -> bool
     if lanes is None or bounds is None:
         return False
     lo, hi, top = bounds
-    return lanes_at_most(lanes, hi, top) & lanes_at_most(lo, lanes, top) == top
+    # lanes_at_most(lanes, hi, top) & lanes_at_most(lo, lanes, top), inlined:
+    # building a Profile from text runs this twice on every side.
+    return ((hi | top) - lanes) & ((lanes | top) - lo) & top == top
 
 
 class VariableSpace(Frozen):
@@ -207,7 +209,7 @@ class VariableSpace(Frozen):
     def check_alternative(self, alt: "Alternative") -> None:
         # Fast path: a packed alternative of the right arity, inside every
         # contiguous domain, needs two subtractions.
-        if len(alt.values) == self.size and lanes_within(alt.lanes, self._lane_bounds):
+        if len(alt.values) == len(self.variables) and lanes_within(alt.lanes, self._lane_bounds):
             return
         if len(alt.values) != self.size:
             raise DomainMismatchError(
@@ -226,24 +228,27 @@ class VariableSpace(Frozen):
 class Alternative(Frozen):
     """A full assignment of one integer value per variable.
 
-    Alternatives are packed once, here, when they are built: ``lanes`` holds
-    value ``i`` in byte ``i`` (``int.from_bytes(bytes(values), "little")``)
-    when every value lies in 0..127, and is ``None`` otherwise. The
-    lexicographic sign rows (``reasoner.sign_matrix``) and
-    ``VariableSpace.check_alternative`` read it instead of walking the
-    values. It is computed eagerly, so its cost falls where the alternative
-    is made (a document's set-up) and not in the first request.
+    Alternatives are packed once, when they are built: ``lanes`` holds value
+    ``i`` in byte ``i`` (``pack_lanes``) when every value lies in 0..127, and
+    is ``None`` otherwise. A caller that has the packing already passes it as
+    ``lanes`` (it must equal ``pack_lanes(values)``): the document scanner
+    decodes a tuple of single digits straight into its bytes, which are its
+    lanes, so a parsed tuple is packed once, on the way in, and never again.
+    The lexicographic sign rows (``reasoner.sign_matrix``), the parser's range
+    check and ``VariableSpace.check_alternative`` read ``lanes`` instead of
+    walking the values. It is computed eagerly, so its cost falls where the
+    alternative is made (a document's set-up) and not in the first request.
     """
 
     __slots__ = ("values", "_hash", "lanes")
     _fields = ("values",)
 
-    def __init__(self, values: tuple[int, ...]) -> None:
+    def __init__(self, values: tuple[int, ...], lanes: int | None = None) -> None:
         _set(self, "values", values)
         # Alternatives are hashed constantly (statement dedup, model-set
         # keys), so the hash is computed once up front.
         _set(self, "_hash", hash(values))
-        _set(self, "lanes", pack_lanes(values))
+        _set(self, "lanes", pack_lanes(values) if lanes is None else lanes)
 
     def __hash__(self) -> int:
         return self._hash

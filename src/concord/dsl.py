@@ -26,13 +26,18 @@ levels always tie).
 The scanner is one pass of one regular expression. Tokens are plain
 ``(kind, text, offset)`` tuples; whitespace and comments are dropped. A
 statement whose two tuples hold only digits, signs, commas and whitespace is
-one ``stmt`` token, its values decoded as it is scanned through a table of
-canonical spellings (``int()`` for the rest). One that does not decode is
-scanned again in place past its ``(``, by the same expression, into element
-tokens that the parser reads one by one, as it reads any other tuple, so
-errors name the element at fault. Line and column are worked out from a
-token's offset only when a node's span or an error needs them, counting
-newlines forward from the last position asked for.
+one ``stmt`` token that carries its two sides as ``Alternative``s, built as
+it is scanned: a body of single ASCII digits between commas, the common case,
+is decoded in one step (the digits sliced out and ``bytes.translate``d to
+their values, which are also its packed lanes), and any other body through
+``int()``. One that does not decode is scanned again in place past its
+``(``, by the same expression, into element tokens that the parser reads one
+by one, as it reads any other tuple, so errors name the element at fault.
+The parser range-checks each side on its lanes and makes the node's
+``Statement`` from the two, once: ``to_profile`` hands those statements to
+the ``Profile``, whose own range check reads the same lanes. Line and column
+are worked out from a token's offset only when a node's span or an error
+needs them, counting newlines forward from the last position asked for.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .domain import (
     _set,
     lane_bounds,
     lanes_within,
-    pack_lanes,
 )
 from .errors import CapacityError, ParseError
 
@@ -101,7 +105,13 @@ class VarDecl(Frozen):
 
 
 class StatementNode(Frozen):
-    __slots__ = ("left", "right", "strict", "span")
+    """A statement as written. ``statement`` is the engine's ``Statement`` for
+    it, built once with the node from its two ``Alternative``s (the parser's,
+    packed and range-checked as they were scanned); ``to_profile`` reuses it.
+    Like ``span`` it is derived, so it is left out of equality, hashing and
+    ``repr``."""
+
+    __slots__ = ("left", "right", "strict", "span", "statement")
     _fields = ("left", "right", "strict")
 
     def __init__(
@@ -112,6 +122,18 @@ class StatementNode(Frozen):
         _set(self, "right", right)
         _set(self, "strict", strict)
         _set(self, "span", span)
+        _set(self, "statement", Statement(Alternative(left), Alternative(right), strict))
+
+    @classmethod
+    def of(cls, statement: Statement, span: tuple[int, int] = (0, 0)) -> "StatementNode":
+        """The node of an already built statement, which it keeps."""
+        node = cls.__new__(cls)
+        _set(node, "left", statement.left.values)
+        _set(node, "right", statement.right.values)
+        _set(node, "strict", statement.strict)
+        _set(node, "span", span)
+        _set(node, "statement", statement)
+        return node
 
 
 class StakeholderBlock(Frozen):
@@ -162,27 +184,23 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# Canonical spellings of small integers; any other spelling goes to int().
-_VALUES = {str(v): v for v in range(-128, 256)}
+# Digit bytes to their values, for ``bytes.translate``.
+_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 # A token is (kind, text, offset): kind is "stmt", "nl", "dots", "ge", "int",
 # "name", "sym", "bad" or "eof"; offset indexes the document text. A "stmt"
-# token goes on with its left values, right values and strictness.
+# token goes on with its left and right ``Alternative`` and its strictness.
 _Token = tuple
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens, value = [], _VALUES.__getitem__
+    tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "stmt":
             left, op, right = m.group("left", "op", "right")
-            try:
-                try:
-                    sides = tuple(map(value, left.split(","))), tuple(map(value, right.split(",")))
-                except KeyError:
-                    sides = tuple(map(int, left.split(","))), tuple(map(int, right.split(",")))
-            except ValueError:  # a malformed body, or a value too long for int()
+            sides = _decode(left, right)
+            if sides is None:
                 tokens += _rescan(text, m.start(), m.end())
             else:
                 tokens.append(("stmt", m.group(), m.start(), *sides, op == ">"))
@@ -190,6 +208,33 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append((kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _decode(left: str, right: str) -> tuple[Alternative, Alternative] | None:
+    """A statement's two bodies as alternatives, or ``None`` when one is not
+    a list of integers that ``int()`` reads.
+
+    Two bodies of single ASCII digits decode in one step: joined by a comma,
+    their bytes alternate digit and comma (a non-ASCII digit's bytes, like
+    whitespace, break that), and each digit, translated, is its value and its
+    8-bit lane, so both sides are packed here, once."""
+    raw = (left + "," + right).encode()
+    digits = raw[::2]
+    if digits.isdigit() and raw[1::2] == b"," * (len(digits) - 1):
+        values = digits.translate(_DIGITS)
+        cut = len(left) + 1 >> 1
+        a, b = values[:cut], values[cut:]
+        return (
+            Alternative(tuple(a), int.from_bytes(a, "little")),
+            Alternative(tuple(b), int.from_bytes(b, "little")),
+        )
+    try:
+        return (
+            Alternative(tuple(map(int, left.split(",")))),
+            Alternative(tuple(map(int, right.split(",")))),
+        )
+    except ValueError:
+        return None
 
 
 def _rescan(text: str, start: int, end: int) -> list[_Token]:
@@ -346,7 +391,7 @@ class _Parser:
 
     # body -----------------------------------------------------------------
 
-    def parse_tuple(self) -> tuple[tuple[int, ...], _Token]:
+    def parse_tuple(self) -> tuple[Alternative, _Token]:
         """A tuple outside a "stmt" token, read element by element."""
         tok = self.peek()
         if tok[0] == "stmt":  # only its left tuple belongs here: split it
@@ -361,32 +406,38 @@ class _Parser:
             elements.append(self.parse_int())
             self.skip_newlines()
         self.expect("sym", ")")
-        values = tuple(elements)
-        self.check_tuple(values, open_tok)
-        return values, open_tok
+        alt = Alternative(tuple(elements))
+        self.check_tuple(alt, open_tok)
+        return alt, open_tok
 
-    def check_tuple(self, values: tuple[int, ...], open_tok: _Token) -> None:
-        """Arity and ranges of a tuple whose "(" is at ``open_tok``'s offset."""
+    def check_tuple(self, alt: Alternative, tok: _Token, right: bool = False) -> None:
+        """Arity and ranges of a tuple whose "(" is at ``tok``'s offset, or,
+        with ``right``, at the last "(" of ``tok``, a "stmt" token. The ranges
+        are read off the lanes the alternative was packed into."""
+        values = alt.values
+        if len(values) == len(self.decls) and lanes_within(alt.lanes, self.bounds):
+            return
+        if right:
+            tok = ("sym", "(", tok[2] + tok[1].rindex("("))
         if len(values) != len(self.decls):
             message = "tuple has %d values but %d variables are declared"
-            raise self.error("bad-tuple-arity", open_tok, message % (len(values), len(self.decls)))
-        if not lanes_within(pack_lanes(values), self.bounds):
-            for decl, value in zip(self.decls, values):
-                if not decl.lo <= value <= decl.hi:
-                    raise self.error(
-                        "value-out-of-range", open_tok,
-                        "value %d is outside %d..%d for variable %r"
-                        % (value, decl.lo, decl.hi, decl.name),
-                    )
+            raise self.error("bad-tuple-arity", tok, message % (len(values), len(self.decls)))
+        for decl, value in zip(self.decls, values):
+            if not decl.lo <= value <= decl.hi:
+                raise self.error(
+                    "value-out-of-range", tok,
+                    "value %d is outside %d..%d for variable %r"
+                    % (value, decl.lo, decl.hi, decl.name),
+                )
 
     def parse_statement(self) -> StatementNode:
         tok = self.peek()
         if tok[0] == "stmt":
             self.pos += 1
-            _, text, offset, left, right, strict = tok
+            _, _, _, left, right, strict = tok
             self.check_tuple(left, tok)
-            self.check_tuple(right, ("sym", "(", offset + text.rindex("(")))
-            return StatementNode(left, right, strict, span=self.span(tok))
+            self.check_tuple(right, tok, right=True)
+            return StatementNode.of(Statement(left, right, strict), self.span(tok))
         left, open_tok = self.parse_tuple()
         self.skip_newlines()
         tok = self.peek()
@@ -396,7 +447,7 @@ class _Parser:
         strict = tok[1] == ">"
         self.skip_newlines()
         right, _ = self.parse_tuple()
-        return StatementNode(left, right, strict, span=self.span(open_tok))
+        return StatementNode.of(Statement(left, right, strict), self.span(open_tok))
 
     def parse_stakeholder(self) -> StakeholderBlock:
         kw = self.expect_keyword("stakeholder")
@@ -503,10 +554,7 @@ def to_profile(doc: Document) -> Profile:
     stakeholders = tuple(
         Stakeholder(
             block.name,
-            tuple(
-                Statement(Alternative(s.left), Alternative(s.right), s.strict)
-                for s in block.statements
-            ),
+            tuple(node.statement for node in block.statements),
         )
         for block in doc.stakeholders
     )
@@ -539,10 +587,7 @@ def from_profile(profile: Profile) -> Document:
     blocks = tuple(
         StakeholderBlock(
             st.name,
-            tuple(
-                StatementNode(s.left.values, s.right.values, s.strict)
-                for s in st.statements
-            ),
+            tuple(StatementNode.of(s) for s in st.statements),
         )
         for st in profile.stakeholders
     )

@@ -295,18 +295,20 @@ def exists_mg_lex(
     characterizations, so the scan is one pass over the union's sign rows. The
     reported stats carry the nominal check counts of the direct procedure:
     2|V|·|union| pairwise consistency checks and 2|V|·n entailment checks.
+    ``limits.timeout_ms`` bounds the call, which is one request.
     """
     if profile.model_class != "lex":
         raise DomainMismatchError("exists_mg_lex needs a lexicographic profile")
     if not profile.stakeholders:
         raise TrivialStakeholderError("profile has no stakeholders")
     nvars = profile.space.size
+    deadline = limits.deadline()
     # Each stakeholder's rows and the union's are gathered from what the
     # statements keep (``sign_matrix``); rows packed by rank may differ in
     # lane width from the union's, so each set is read against its own lanes.
     for sh in profile.stakeholders:
         own, _ = sign_matrix(sh.statements, profile.combiner)
-        if _lex_consistent_from_signs(own)[0] is None:
+        if _lex_consistent_from_signs(own, deadline)[0] is None:
             raise TrivialStakeholderError(f"stakeholder {sh.name!r} is inconsistent")
         lanes = own.lanes
         if all(win == lanes if strict else not lose for win, lose, strict in own.rows):
@@ -316,7 +318,7 @@ def exists_mg_lex(
     union = profile.union_statements()
     signs, _ = sign_matrix(union, profile.combiner)
     lanes = signs.lanes
-    if _lex_consistent_from_signs(signs)[0] is not None:
+    if _lex_consistent_from_signs(signs, deadline)[0] is not None:
         return ExistenceResult(
             True, via_union=True, stats={"pairwise_checks": 0, "entailment_checks": 0}
         )

@@ -79,6 +79,13 @@ class Limits(Frozen):
         _set(self, "max_language", max_language)
         _set(self, "timeout_ms", timeout_ms)
 
+    def deadline(self) -> float | None:
+        """The ``time.monotonic()`` reading past which a request started now
+        has run out of ``timeout_ms``, or ``None`` when it has no timeout."""
+        if self.timeout_ms is None:
+            return None
+        return time.monotonic() + self.timeout_ms / 1000.0
+
 
 DEFAULT_LIMITS = Limits()
 
@@ -316,22 +323,25 @@ def _lowest_safe(rows: list[tuple[int, int, bool]], everything: int) -> int:
     return safe & -safe
 
 
-def _lex_greedy(signs: SignRows) -> tuple[list[int], list, int, int]:
+def _lex_greedy(
+    signs: SignRows, deadline: float | None = None
+) -> tuple[list[int], list, int, int]:
     """The greedy over lexicographic rows, run until every row is decided or
-    it stalls.
+    it stalls; past ``deadline`` it raises ``IndeterminateError``.
 
     Returns the chosen variable prefix, the rows still undecided when the
     greedy stalls, and the node / candidate counters.
     """
-    path, pending, stalled = _greedy(signs.rows, True)
+    path, pending, stalled = _greedy(signs.rows, True, deadline)
     chosen = [signs.variable(bit) for bit in path]
     return chosen, pending, len(path), signs.nvars * (len(path) + stalled)
 
 
 def _lex_consistent_from_signs(
-    signs: SignRows,
+    signs: SignRows, deadline: float | None = None
 ) -> tuple[tuple[int, ...] | None, int, int]:
     """The lexicographic verdict over sign rows: the greedy plus its stall rule.
+    Past ``deadline`` (``Limits.deadline``) it raises ``IndeterminateError``.
 
     Returns the witness variables (``None`` when inconsistent) and the
     greedy's node / candidate counters. When the greedy stalls with only
@@ -340,7 +350,7 @@ def _lex_consistent_from_signs(
     with something chosen, the pending statements tie on every chosen variable
     and the prefix itself is a witness. With no rows at all, variable 0 is.
     """
-    chosen, pending, nodes, tried = _lex_greedy(signs)
+    chosen, pending, nodes, tried = _lex_greedy(signs, deadline)
     if any(strict for _, _, strict in pending):
         return None, nodes, tried
     if chosen:
@@ -362,12 +372,20 @@ def is_consistent_lex(
     """Greedy lexicographic consistency with a constructed, re-checked witness.
 
     Duplicates are not dropped: a repeated row changes neither the greedy's
-    path, nor the witness, nor its counters.
+    path, nor the witness, nor its counters. ``limits.timeout_ms`` bounds the
+    call, which is one request.
     """
+    return _is_consistent_lex(statements, c, limits.deadline())
+
+
+def _is_consistent_lex(
+    statements: Sequence[Statement], c: Combiner, deadline: float | None
+) -> ConsistencyResult:
+    """``is_consistent_lex`` within a request's ``deadline``."""
     if not statements:
         return ConsistencyResult(True, LexicographicModel((0,)))
     signs, _ = sign_matrix(statements, c)
-    variables, nodes, tried = _lex_consistent_from_signs(signs)
+    variables, nodes, tried = _lex_consistent_from_signs(signs, deadline)
     stats = SearchStats(nodes=nodes, levels_tried=tried)
     if variables is None:
         return ConsistencyResult(False, None, stats)
@@ -440,9 +458,7 @@ class Reasoner:
         self.c = c
         self.model_class = model_class
         self.limits = limits
-        self.deadline = None
-        if limits.timeout_ms is not None:
-            self.deadline = time.monotonic() + limits.timeout_ms / 1000.0
+        self.deadline = limits.deadline()
         self._lanes: dict[tuple[int, ...], int] = {}
         self._rows: dict[Statement, tuple[int, int, bool]] = {}
         self.memo: dict[str, object] = {}
@@ -658,7 +674,7 @@ class Reasoner:
         """
         if self.model_class == "lex":
             signs, _ = sign_matrix(statements, self.c)
-            return _lex_consistent_from_signs(signs)[0] is not None
+            return _lex_consistent_from_signs(signs, self.deadline)[0] is not None
         return self.consistent_rows(self.rows(statements))
 
     def consistent_rows(self, rows: list, everything: int | None = None) -> bool:
@@ -693,7 +709,7 @@ class Reasoner:
         ``is_consistent_hier`` for why it never needs to undo a level.
         """
         if self.model_class == "lex":
-            return is_consistent_lex(statements, self.space, self.c, self.limits)
+            return _is_consistent_lex(statements, self.c, self.deadline)
         stmts = dedupe_statements(statements)
         path, nodes = self._path(self.rows(stmts))
         if path is None:

@@ -327,6 +327,12 @@ def test_capacity_exit_code(ne_file, capsys):
     assert "stopped" in err
 
 
+def test_lexicographic_timeout_exit_code(lex_file, capsys):
+    code, out, err = run(capsys, "check", lex_file, "--timeout-ms", "0")
+    assert code == 3
+    assert "timed out" in err and out == ""
+
+
 @pytest.mark.parametrize(
     "header,message",
     [

@@ -2,13 +2,21 @@
 
 import random
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concord import dsl
-from concord.domain import Combiner, Profile
+from concord import domain, dsl
+from concord.domain import (
+    Alternative,
+    Combiner,
+    Profile,
+    Stakeholder,
+    Statement,
+    pack_lanes,
+)
 from concord.errors import ParseError
 from concord.gadgets import (
     moral_machine_fixture,
@@ -409,3 +417,163 @@ def test_parser_total_on_mutated_documents():
             dsl.parse(mutated)
         except ParseError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# one pass from text to Profile
+
+
+def _by_hand(doc: dsl.Document, like: Profile) -> Profile:
+    """``doc``'s Profile by the route that builds every engine object anew
+    from the node's values: two Alternatives, a Statement, a Profile."""
+    return Profile(like.space, like.combiner, like.model_class, tuple(
+        Stakeholder(block.name, tuple(
+            Statement(Alternative(node.left), Alternative(node.right), node.strict)
+            for node in block.statements
+        ))
+        for block in doc.stakeholders
+    ))
+
+
+# Per variable, the range values are drawn from: single digits only, single
+# digits past 0..1, negative and multi-digit values, values past 127 (no lanes).
+_RANGES = ((0, 1), (0, 9), (-12, 12), (5, 140))
+
+
+@given(st.data(), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_parse_profile_builds_the_profile_of_the_nodes(data, rng):
+    """Over bodies that the one-step decode takes and bodies that go through
+    ``int()`` (multi-digit and negative values, spellings such as ``007`` and
+    ``-0``, whitespace and newlines inside the parentheses), ``parse_profile``
+    gives the Profile built by hand from ``parse``'s nodes: the same values,
+    lanes (``pack_lanes`` of the values), strictness and order."""
+    bounds = data.draw(st.lists(st.sampled_from(_RANGES), min_size=1, max_size=4))
+
+    def spell(v: int) -> str:
+        if rng.random() < 0.6:
+            return str(v)
+        sign = "-" if v < 0 or (v == 0 and rng.random() < 0.5) else ""
+        return rng.choice(_GAPS) + sign + "0" * rng.randint(0, 2) + str(abs(v)) + rng.choice(_GAPS)
+
+    def body() -> str:
+        values = [rng.randint(lo, hi) for lo, hi in bounds]
+        if rng.random() < 0.5:
+            return "(" + ",".join(map(str, values)) + ")"
+        return "(" + ",".join(map(spell, values)) + ")"
+
+    names = ["v%d" % i for i in range(len(bounds))]
+    text = "vars %s\ncombiner %s\nmodels %s\n" % (
+        ", ".join("%s:%d..%d" % (n, lo, hi) for n, (lo, hi) in zip(names, bounds)),
+        rng.choice(("sum", "max", "product")), rng.choice(dsl.MODEL_WORDS),
+    )
+    for k in range(rng.randint(1, 3)):
+        statements = ";\n".join(
+            "  %s %s %s" % (body(), rng.choice((">", ">=")), body())
+            for _ in range(rng.randint(1, 4))
+        )
+        text += "stakeholder s%d {\n%s\n}\n" % (k, statements)
+    got = dsl.parse_profile(text)
+    want = _by_hand(dsl.parse(text), got)
+    assert got == want
+    for mine, theirs in zip(got.stakeholders, want.stakeholders):
+        assert len(mine.statements) == len(theirs.statements)
+        for s, t in zip(mine.statements, theirs.statements):
+            assert (s.left.values, s.right.values, s.strict) == (
+                t.left.values, t.right.values, t.strict
+            )
+            for side, twin in ((s.left, t.left), (s.right, t.right)):
+                assert side.lanes == twin.lanes == pack_lanes(side.values)
+                assert hash(side) == hash(twin)
+    assert got.union_statements() == want.union_statements()
+
+
+_TWO = "vars x:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n"
+
+
+@pytest.mark.parametrize(
+    "body,code,message,line,col",
+    [
+        # a single-digit value out of range, on either side, on a later line
+        ("(0,1) > (1,2)", "value-out-of-range", "value 2 is outside 0..1 for variable 'y'", 4, 24),
+        ("(0,7) >= (1,0)", "value-out-of-range", "value 7 is outside 0..1 for variable 'y'", 4, 16),
+        ("\n  (1,0) > (0,0);\n  (0,1) >= (1,9)\n", "value-out-of-range",
+         "value 9 is outside 0..1 for variable 'y'", 6, 12),
+        # arity, on either side
+        ("(0,1,1) > (1,0)", "bad-tuple-arity",
+         "tuple has 3 values but 2 variables are declared", 4, 16),
+        ("(0,1) > (1,0,0,1)", "bad-tuple-arity",
+         "tuple has 4 values but 2 variables are declared", 4, 24),
+        ("(0) > (1)", "bad-tuple-arity", "tuple has 1 values but 2 variables are declared", 4, 16),
+        # non-ASCII digits are values too, read by int()
+        ("(0,٢) > (1,0)", "value-out-of-range",
+         "value 2 is outside 0..1 for variable 'y'", 4, 16),
+        ("(0,1) > (١,٢)", "value-out-of-range",
+         "value 2 is outside 0..1 for variable 'y'", 4, 24),
+        ("(0,1) > (1,２)", "value-out-of-range",
+         "value 2 is outside 0..1 for variable 'y'", 4, 24),
+        ("(١,0,1) > (1,0)", "bad-tuple-arity",
+         "tuple has 3 values but 2 variables are declared", 4, 16),
+    ],
+)
+def test_single_digit_bodies_keep_their_errors(body, code, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        dsl.parse_profile(_TWO + "stakeholder p {" + body + "}")
+    e = exc.value
+    assert (e.code, e.message, e.line, e.col) == (code, message, line, col)
+
+
+def test_non_ascii_digits_read_as_their_values():
+    ascii_text = _TWO + "stakeholder p {(0,1) > (1,0)}"
+    assert dsl.parse_profile(ascii_text.replace("(1,0)", "(١,٠)")) == (
+        dsl.parse_profile(ascii_text)
+    )
+
+
+def test_each_tuple_is_packed_and_built_once(monkeypatch):
+    """Text to Profile packs each tuple at most once (a tuple of single
+    digits is packed by the scan itself) and builds one Alternative per
+    tuple: the Profile holds the parser's statements."""
+    sides = [
+        ((1, 2, 3), (4, 5, 6)), ((10, 2, 3), (1, 12, 3)),
+        ((7, 8, 9), (1, 1, 2)), ((1, 0, 20), (0, 0, 1)),
+    ]
+    text = "vars x:0..20, y:0..20, z:0..20\ncombiner sum\nmodels lexicographic\n" + (
+        "stakeholder a {(1,2,3) > (4,5,6); ( 10, 2,3) >= (1,12,3)}\n"
+        "stakeholder b {(7,8,9) > (1,1,2); (1,0,20)>=(0,0,1)}\n"
+    )
+    packed, built = Counter(), Counter()
+    real_pack, real_init = domain.pack_lanes, Alternative.__init__
+
+    def pack(values):
+        packed[tuple(values)] += 1
+        return real_pack(values)
+
+    def init(self, values, lanes=None):
+        built[values] += 1
+        real_init(self, values, lanes)
+
+    monkeypatch.setattr(domain, "pack_lanes", pack)
+    monkeypatch.setattr(dsl, "pack_lanes", pack, raising=False)
+    monkeypatch.setattr(Alternative, "__init__", init)
+    profile = dsl.parse_profile(text)
+    tuples = [t for pair in sides for t in pair]
+    assert [
+        (s.left.values, s.right.values) for sh in profile.stakeholders for s in sh.statements
+    ] == sides
+    assert built == Counter(tuples)
+    assert max(packed[t] for t in tuples) == 1  # the two int() bodies' sides
+    assert sum(packed[t] for t in tuples) == 4
+
+
+def test_nodes_keep_their_statement():
+    node = dsl.StatementNode((1, 0), (0, 1), True)
+    assert node.statement == Statement(Alternative((1, 0)), Alternative((0, 1)), True)
+    s = Statement(Alternative((2, 1)), Alternative((1, 2)), False)
+    twin = dsl.StatementNode.of(s, (3, 4))
+    assert twin.statement is s and twin.span == (3, 4)
+    assert twin == dsl.StatementNode((2, 1), (1, 2), False)
+    parsed = dsl.parse(_TWO + "stakeholder p {(0,1) > (1,0)}")
+    assert dsl.to_profile(parsed).stakeholders[0].statements[0] is (
+        parsed.stakeholders[0].statements[0].statement
+    )

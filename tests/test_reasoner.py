@@ -535,6 +535,28 @@ def test_consistent_timeout_zero():
         r.consistent(profile.union_statements())
 
 
+def test_lex_timeout_zero():
+    """Lexicographic requests read ``timeout_ms`` too: each public call, and
+    both verdicts of a reasoner, give up with a deadline already passed."""
+    sp = VariableSpace.binary(("x", "y", "z"))
+    a, b = stmt((1, 0, 0), (0, 1, 0)), stmt((0, 1, 0), (1, 0, 0))
+    limits = Limits(timeout_ms=0)
+    profile = Profile(sp, SUM, "lex", (Stakeholder("a", (a,)), Stakeholder("b", (b,))))
+    r = Reasoner(sp, SUM, "lex", limits)
+    for call in (
+        lambda: is_consistent_lex((a, b), sp, SUM, limits),
+        lambda: is_consistent((a,), sp, SUM, "lex", limits),
+        lambda: r.consistent((a, b)),
+        lambda: r.is_consistent((a,)),
+        lambda: exists_mg_lex(profile, limits),
+    ):
+        with pytest.raises(IndeterminateError):
+            call()
+    # the default limits arm no deadline
+    assert is_consistent_lex((a,), sp, SUM).consistent
+    assert exists_mg_lex(profile).exists
+
+
 def _planted_max_set(rng, n, m, top=3):
     """m statements over n variables (domain 0..top), each oriented by one
     hidden max-combiner model, about 70% of the decided ones strict."""

@@ -98,7 +98,7 @@ CASES = [
         StatementNode,
         lambda: dict(left=(1, 0), right=(0, 1), strict=True, span=(7, 9)),
         _NODE,
-        ("span",),
+        ("span", "statement"),
     ),
     (
         StakeholderBlock,
