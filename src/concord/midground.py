@@ -20,48 +20,50 @@ over model prefixes, on classes of equivalent statements. Its worst case
 stays exponential, and the request's deadline bounds it.
 
 Each entry point asks all its questions of one ``Reasoner``, made for the
-call, so every statement's hierarchical level row is compiled once per
-request and dies with it. A request that makes several calls (``cli``'s
-``mg-construct --verify``) passes one ``Reasoner`` to the private
-``_construct_mgs`` and ``_check_postulates`` instead, and each question is
-asked once per request: what the request has settled about a profile lives
-on its ``Reasoner`` (``_Facts``), namely the stakeholder precondition, the
+call. A request that makes several calls (``cli``'s ``mg-construct
+--verify``) passes one ``Reasoner`` to the private ``_construct_mgs`` and
+``_check_postulates`` instead. What the request has settled about a profile
+lives on its ``Reasoner`` (``_Facts``): the stakeholder precondition, the
 union's verdict, the rows of the union and of each stakeholder, P3 and P4
 per equivalence key, and the grounds returned. The postulate audit reads
-those instead of asking again. Only non-trivial statements can join the
-pool, so a language is reduced to them once, when it is materialized
-(``_resolve_language``): the ``full`` language of a hierarchical profile
-and its ``candidates`` are read off pair rows as non-trivial statements
-(``_hier_candidates``), and every other language is classified there.
+those instead of asking again.
 
-The inner questions (P3 compatibility, P4 entailment, the stakeholder
-check, the sweep and the P5 split test) read only a verdict, so they build
-no witness. The sweep and the P5 split test run on the rows
-``Reasoner.search_rows`` makes under either model class; under hierarchical
-models entailment appends the complement's row (the statement's row
-swapped, its strictness flipped). P3 needs no greedy at all. For statements
-``s`` and ``u`` that are each consistent alone, ``{s, u}`` is consistent
-iff some level is won by either and lost by neither when either is strict,
-or lost by neither when both are weak (``Reasoner._pair_consistent`` gives
-the argument). Union statements meet the precondition once the stakeholder
-check has passed, and a candidate that is a contradiction is caught first.
-P4 for a one-statement stakeholder is the same test, negated, on the
-candidate's complement row (``Reasoner.entailed_by_some``).
+Under hierarchical models the pipeline runs on rows, not statements. Only
+non-trivial statements can join the pool, and those of the full language
+(the ``full`` language and the ``candidates``) are read off pair rows once
+per request as the *row language* (``_row_language``): entries of two
+alternative indices and a row, with no ``Statement`` built. Any other
+language is classified once per member (``_language``) and enters as rows
+too. The pool filter, the grouping by ``Reasoner.equivalence_key``, the
+existence scan, the sweep and the P5 scan read rows and keys. A
+``Statement`` is built only for a pool member, the existence witness, and
+what a caller asks for (``hier_candidates``, ``oracle mgs``).
+
+These inner questions read only a verdict, so they build no witness. Under
+hierarchical models entailment appends the complement's row (the
+statement's row swapped, its strictness flipped), and P3 needs no greedy:
+for statements ``s`` and ``u`` that are each consistent alone, ``{s, u}``
+is consistent iff some level is won by either and lost by neither when
+either is strict, or lost by neither when both are weak
+(``Reasoner._pair_consistent``). Union statements meet the precondition
+once the stakeholder check has passed, and a candidate that is a
+contradiction is caught first. P4 for a one-statement stakeholder is the
+same test, negated, on the candidate's complement row.
 
 What leaves the process is decided by ``Reasoner.is_consistent``, which
 builds a witness and re-checks it statement by statement: every ground
 ``construct_mgs`` returns, the union check, and P1 of ``check_postulates``
-(for a ground the same request returned, P1 reads that re-check).
-
-The request's deadline (``Limits.timeout_ms``) is armed when its
-``Reasoner`` is made. The greedy, the candidate-language build, the pool
-filter and the sweep read it, so a timeout stops the whole request.
+(for a ground the same request returned, P1 reads that re-check). The
+request's deadline (``Limits.timeout_ms``) is armed when its ``Reasoner``
+is made; the greedy, the language build, the pool filter and the sweep
+read it, so a timeout stops the whole request.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+import math
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .domain import (
     Alternative,
@@ -100,13 +102,11 @@ def _falsifiable(stmts: Sequence[Statement], r: Reasoner) -> bool:
 
 class _Facts:
     """What a request has settled about one profile, kept on its
-    ``Reasoner`` (``_facts``) so that construction and the postulate audit
-    ask each question once: the stakeholder precondition (every stakeholder
-    set is consistent and falsifiable, checked when the facts are made), the
-    union and whether it is consistent, the union's and each stakeholder's
-    statements made ready once (``Reasoner.prepare``), the P3 and P4
-    verdicts per ``Reasoner.equivalence_key`` (``verdicts``), and the grounds
-    returned after their re-check."""
+    ``Reasoner`` (``_facts``): the stakeholder precondition (each set is
+    consistent and falsifiable, checked here), the union and its verdict,
+    the union's and each stakeholder's statements as ``Reasoner.prepare``
+    makes them, P3 and P4 per equivalence key (``_verdicts``), and the
+    grounds returned after their re-check."""
 
     def __init__(self, profile: Profile, r: Reasoner) -> None:
         if not profile.stakeholders:
@@ -124,7 +124,7 @@ class _Facts:
         self.union = profile.union_statements()
         self.union_consistent = r.is_consistent(self.union).consistent
         self.union_rows = r.prepare(self.union)
-        self.verdicts: dict[tuple, tuple[bool, bool]] = {}
+        self.verdicts: dict[tuple, tuple[bool, bool | None]] = {}
         self.grounds: set[frozenset[Statement]] = set()
 
 
@@ -137,31 +137,17 @@ def _facts(profile: Profile, r: Reasoner) -> _Facts:
     return facts
 
 
-def _compatible(s: Statement, facts: _Facts, r: Reasoner) -> bool:
-    """P3 for one statement: consistent with each union statement on its own.
-
-    Under hierarchical models this is ``Reasoner.consistent_with_each``'s
-    pair test on rows, with no greedy. It needs every union statement
-    consistent alone, which holds once the stakeholder precondition has
-    passed (``_Facts``); a contradiction ``s``, which
-    ``check_postulates`` can be given, is compatible with no statement.
-    """
-    return r.consistent_with_each(s, facts.union_rows)
-
-
-def _entailed(s: Statement, facts: _Facts, r: Reasoner) -> bool:
-    """P4 for one statement: some stakeholder's set entails it (under
-    hierarchical models a pair test on rows for a one-statement
-    stakeholder, ``Reasoner.entailed_by_some``)."""
-    return r.entailed_by_some(facts.stakeholder_rows, s)
-
-
-def _verdicts(s: Statement, key: tuple, facts: _Facts, r: Reasoner) -> tuple[bool, bool]:
-    """P3 and P4 for ``s``, asked once per equivalence key ``key`` and
-    request: statements sharing one hold in the same models."""
+def _verdicts(s, key: tuple, facts: _Facts, r: Reasoner, both: bool = False) -> tuple:
+    """P3 (compatible with each union statement, ``consistent_with_each``)
+    and P4 (entailed by some stakeholder, ``entailed_by_some``) of ``s``, a
+    statement or under hierarchical models its row, once per equivalence
+    key and request: statements sharing a key hold in the same models.
+    Unless ``both`` is set, P4 is not asked while P3 fails: it reads None."""
     verdicts = facts.verdicts.get(key)
-    if verdicts is None:
-        verdicts = facts.verdicts[key] = (_compatible(s, facts, r), _entailed(s, facts, r))
+    if verdicts is None or both and verdicts[1] is None:
+        p3 = r.consistent_with_each(s, facts.union_rows) if verdicts is None else verdicts[0]
+        p4 = r.entailed_by_some(facts.stakeholder_rows, s) if p3 or both else None
+        verdicts = facts.verdicts[key] = p3, p4
     return verdicts
 
 
@@ -176,11 +162,9 @@ def _check_language_size(size: int, limits: Limits, what: str = "language") -> N
 def _check_full_language(space: VariableSpace, limits: Limits) -> int:
     """The ``max_language`` cap on the full language, from the domain sizes
     alone, so nothing is built when it is refused; returns its size."""
-    n_alts = 1
-    for dom in space.domains:
-        n_alts *= len(dom)
-    _check_language_size(2 * n_alts * n_alts, limits, "full language")
-    return 2 * n_alts * n_alts
+    size = 2 * math.prod(map(len, space.domains)) ** 2
+    _check_language_size(size, limits, "full language")
+    return size
 
 
 def full_language(
@@ -249,40 +233,44 @@ def hier_candidates(
 
 
 def _hier_candidates(r: Reasoner) -> tuple[Statement, ...]:
-    """``hier_candidates`` for the reasoner's space and combiner, built once
-    per ``Reasoner`` (its ``memo``), so once per request."""
-    cands = r.memo.get("hier_candidates")
-    if cands is None:
-        cands = r.memo["hier_candidates"] = _nontrivial_language(r)
-    return cands
+    """``hier_candidates`` for the reasoner's space and combiner, built from
+    its row language (``_row_language``)."""
+    return tuple(map(r.statement, _row_language(r)[0]))
 
 
-def _nontrivial_language(r: Reasoner) -> tuple[Statement, ...]:
-    """The non-trivial statements of ``full_language``, in its order, read
-    off pair rows (``Reasoner.nontrivial_statements``): a ``Statement`` is
-    built only for the non-trivial ones. The language and classification
-    caps are checked before any alternative is built.
-    """
+def _row_language(r: Reasoner) -> tuple[list, list[tuple[int, int, bool]]]:
+    """The non-trivial statements of ``full_language``, in its order, as
+    ``Reasoner.nontrivial_rows`` entries and as their rows, built once per
+    ``Reasoner`` (its ``memo``), so once per request."""
+    found = r.memo.get("language")
+    if found is None:
+        entries = _nontrivial_language(r)
+        found = r.memo["language"] = entries, [entry[3] for entry in entries]
+    return found
+
+
+def _nontrivial_language(r: Reasoner) -> list:
+    """``Reasoner.nontrivial_rows``, with the language and classification
+    caps checked before any alternative is built."""
     _check_full_language(r.space, r.limits)
-    return tuple(r.nontrivial_statements())
+    return r.nontrivial_rows()
 
 
 def _candidate_pool(
-    profile: Profile, language: Sequence[Statement], r: Reasoner
-) -> Iterator[Statement]:
-    """Language statements passing the compatibility and entailment
-    filters, lazily and in language order.
-
-    ``language`` holds no duplicates and no trivial statements
-    (``_resolve_language`` drops them). The filters run once per
-    ``Reasoner.equivalence_key`` (``_verdicts``).
-    """
+    profile: Profile, items: Sequence, r: Reasoner
+) -> Iterator[tuple[int, tuple]]:
+    """The members of a language as ``_language`` gives it (no duplicates,
+    nothing trivial) that pass P3 and P4, lazily and in language order, as
+    (index, ``Reasoner.equivalence_key``) pairs; ``_verdicts`` asks the
+    filters once per key."""
     facts = _facts(profile, r)
-    for i, s in enumerate(language):
-        if not i & 1023:
+    key_of = r.equivalence_key
+    for k, x in enumerate(items):
+        if not k & 1023:
             r.check_deadline()
-        if all(_verdicts(s, r.equivalence_key(s), facts, r)):
-            yield s
+        key = key_of(x)
+        if all(_verdicts(x, key, facts, r)):
+            yield k, key
 
 
 def exists_mg_lex(
@@ -385,31 +373,30 @@ def exists_mg_hier(
     r = Reasoner(profile.space, profile.combiner, profile.model_class, limits)
     if _facts(profile, r).union_consistent:
         return ExistenceResult(True, via_union=True)
-    cands = _hier_candidates(r)
-    witness = next(_candidate_pool(profile, cands, r), None)
-    stats = {"candidates": len(cands), "pool": int(witness is not None)}
+    entries, rows = _row_language(r)
+    first = next(_candidate_pool(profile, rows, r), None)
+    witness = None if first is None else r.statement(entries[first[0]])
+    stats = {"candidates": len(entries), "pool": int(first is not None)}
     return ExistenceResult(witness is not None, witness=witness, stats=stats)
 
 
-def _resolve_language(
+def _language(
     profile: Profile, language, r: Reasoner
-) -> tuple[tuple[Statement, ...], bool, int]:
-    """Materialize the language argument, with its trivial statements
-    dropped, since only non-trivial ones can join the pool; returns
-    (statements, exhaustive, the language's size before the drop).
-
-    A hierarchical profile's ``full`` language and its ``candidates`` are
-    read off pair rows as non-trivial statements (``_hier_candidates``), in
-    the full language's order; every other language is classified here,
-    once per member, with the request's deadline read as in the pool filter.
-    """
+) -> tuple[Sequence, Callable[[int], Statement], bool, int]:
+    """The language argument as the pool filter reads it, trivial
+    statements dropped: (items, statement, exhaustive, the size before the
+    drop), where ``statement(k)`` builds item ``k``'s ``Statement``. A
+    hierarchical profile's ``full`` language and ``candidates`` are its row
+    language; any other is classified here, reading the deadline as the
+    pool filter does, and its items are what ``Reasoner.prepare`` makes of
+    the statements kept."""
     lex = profile.model_class == "lex"
     if language is None:
         language = "binary" if lex else "full"
     if not lex and language in ("full", "candidates"):
-        cands = _hier_candidates(r)
-        size = _check_full_language(r.space, r.limits) if language == "full" else len(cands)
-        return cands, True, size
+        entries, rows = _row_language(r)
+        size = _check_full_language(r.space, r.limits) if language == "full" else len(rows)
+        return rows, lambda k: r.statement(entries[k]), True, size
     if language == "full":
         lang, exhaustive = full_language(profile.space, r.limits), True
     elif language == "binary":
@@ -427,17 +414,24 @@ def _resolve_language(
             r.check_deadline()
         if r.classify(s) is Triviality.NON_TRIVIAL:
             kept.append(s)
-    return tuple(kept), exhaustive, len(lang)
+    return r.prepare(kept), kept.__getitem__, exhaustive, len(lang)
 
 
-def _group_equivalent(
-    pool: Sequence[Statement], r: Reasoner
-) -> list[list[Statement]]:
-    """Partition the non-trivial pool into logical-equivalence classes, in
-    order of first member (``Reasoner.equivalence_key``)."""
-    keyed: dict[tuple, list[Statement]] = {}
-    for s in pool:
-        keyed.setdefault(r.equivalence_key(s), []).append(s)
+def _resolve_language(
+    profile: Profile, language, r: Reasoner
+) -> tuple[tuple[Statement, ...], bool, int]:
+    """``_language`` with every item's ``Statement`` built: (statements,
+    exhaustive, the language's size before the drop)."""
+    items, statement, exhaustive, size = _language(profile, language, r)
+    return tuple(map(statement, range(len(items)))), exhaustive, size
+
+
+def _group_equivalent(pool: Iterable[tuple[object, tuple]]) -> list[list]:
+    """Partition a pool of (member, ``Reasoner.equivalence_key``) pairs into
+    logical-equivalence classes of members, in order of first member."""
+    keyed: dict[tuple, list] = {}
+    for member, key in pool:
+        keyed.setdefault(key, []).append(member)
     return list(keyed.values())
 
 
@@ -475,23 +469,18 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
             exhaustive=True,
             stats={"via_union": True},
         )
-    lang, exhaustive, size = _resolve_language(profile, language, r)
-    pool = tuple(_candidate_pool(profile, lang, r))
-    stats: dict = {
-        "language": size,
-        "pool": len(pool),
-        "via_union": False,
-    }
+    items, statement, exhaustive, size = _language(profile, language, r)
+    pool = list(_candidate_pool(profile, items, r))
+    stats: dict = {"language": size, "pool": len(pool), "via_union": False}
     if not pool:
-        stats["classes"] = 0
-        stats["nodes"] = 0
+        stats.update(classes=0, nodes=0)
         return MiddleGroundSet(grounds=(), exhaustive=exhaustive, stats=stats)
-    classes = _group_equivalent(pool, r)
+    classes = _group_equivalent(pool)
     stats["classes"] = len(classes)
-    # Members of a class hold in the same models, so its first one's row
-    # stands for it. Class i owns the bits of its members in ``members``.
-    rows, everything = r.search_rows([cls[0] for cls in classes])
-    members = tuple(itertools.chain.from_iterable(classes))
+    # A class's members hold in the same models, so its first one's row
+    # stands for it. Class i owns its members' bits in ``members``, built here.
+    rows, everything = r.search_rows([items[cls[0]] for cls in classes])
+    members = tuple(map(statement, itertools.chain.from_iterable(classes)))
     ends = list(itertools.accumulate(map(len, classes)))
     masks = [(1 << end) - (1 << start) for start, end in zip([0] + ends, ends)]
     slices, stats["nodes"] = _best_slices(rows, masks, everything, r)
@@ -596,7 +585,7 @@ def _check_postulates(
     # P3 and P4 are asked once per equivalence key and request: the pool
     # filter has asked them of every member of a ground it returned.
     keys = [r.equivalence_key(s) for s in cand]
-    verdicts = {key: _verdicts(s, key, facts, r) for s, key in zip(cand, keys)}
+    verdicts = {key: _verdicts(s, key, facts, r, both=True) for s, key in zip(cand, keys)}
 
     p3_bad = tuple(s for s, key in zip(cand, keys) if not verdicts[key][0])
     p3 = PostulateCheck(PASS if not p3_bad else FAIL, p3_bad)
@@ -641,32 +630,30 @@ def _p5_verdict(cand: Sequence[Statement], facts: _Facts, r: Reasoner) -> str:
       fails P3 or P4, so the candidate is no middle ground either way.
 
     Equivalent statements split alike and pass the filters alike, so the
-    scan asks about one statement per ``Reasoner.equivalence_key``, and the
-    members shrink to one per key as well; keys the candidate holds are
-    entailed and skipped. The members' rows are made once, and the split
-    test is two verdicts on them plus ``s``'s row, then its complement row
-    (``reasoner.complement_row``). Only splitters reach the filters, whose
-    verdicts ``_verdicts`` keeps for the request.
+    scan, over rows under hierarchical models, asks about one statement
+    per ``Reasoner.equivalence_key``, skipping the candidate's own keys; the
+    split test is two verdicts on the members' rows plus ``s``'s row, then
+    its complement row. Only splitters reach the filters (``_verdicts``).
     """
     members = {
         r.equivalence_key(s): s
         for s in cand
         if r.classify(s) is not Triviality.TAUTOLOGY
     }
-    reps = tuple(members.values())
+    reps = list(r.prepare(tuple(members.values())))
     seen = set(members)
     lex = r.model_class == "lex"
-    lang = binary_language(r.space, r.limits) if lex else _hier_candidates(r)
-    rows, steps = r.search_rows(reps + lang)
+    lang = binary_language(r.space, r.limits) if lex else _row_language(r)[1]
+    rows, steps = r.search_rows(reps + list(lang))
     taken = rows[: len(reps)]
     verdict = r.consistent_rows
-    for s, row in zip(lang, rows[len(reps):]):
-        key = r.equivalence_key(s)
+    for x, row in zip(lang, rows[len(reps):]):
+        key = r.equivalence_key(x)
         if key in seen:
             continue
         seen.add(key)
         split = verdict(taken + [row], steps) and verdict(taken + [complement_row(row)], steps)
-        if split and all(_verdicts(s, key, facts, r)):
+        if split and all(_verdicts(x, key, facts, r)):
             every = all(all(_verdicts(m, k, facts, r)) for k, m in members.items())
             return FAIL if every else NOT_CHECKED
     return PASS

@@ -425,26 +425,24 @@ class Reasoner:
     combiner, model class and set of limits: one request.
 
     Lexicographic questions go to the lexicographic functions above. Under
-    hierarchical models each statement is compiled once, on first use, into
-    its *row*: the canonical levels (``_canonical_levels``) at which its left
-    side wins and those at which it loses, as two bitmasks whose bit ``j`` is
-    canonical level ``j``, plus its strictness: the ``(win, lose, strict)``
-    that ``_greedy`` reads. Rows come from one kernel, the borrow trick of the
-    lexicographic engine. Each alternative met is packed once
-    (``_packed``): its folds over the canonical levels, lane ``j`` holding
-    level ``j``'s, in lanes of one width fixed before any alternative is
-    packed (``_lane_shape``). A pair's row is then ``lanes_at_most`` both
-    ways, each lane's top byte read as one binary digit (``_pair_row``).
-    Inner questions (``consistent_rows``, ``consistent_with_each``,
-    ``entailed_by_some``, ``nontrivial_statements``, and ``midground``'s
-    searches) run on rows.
+    hierarchical models a statement's *row* is the ``(win, lose, strict)``
+    that ``_greedy`` reads: the canonical levels (``_canonical_levels``) at
+    which its left side wins and those at which it loses, bit ``j`` for
+    level ``j``, and its strictness. Each alternative met is packed once
+    (``_packed``) and a pair's row read off two ``lanes_at_most`` calls
+    (``_pair_row``); a statement's row is kept once compiled (``row``).
+    The inner questions (``consistent_rows``, ``consistent_with_each``,
+    ``entailed_by_some``, ``equivalence_key``, and ``midground``'s
+    searches) take rows; ``nontrivial_rows`` gives the non-trivial part of
+    the full language as rows, and ``statement`` builds a ``Statement``
+    only for an entry a caller keeps.
 
     The request's deadline (``limits.timeout_ms``) is armed once, when the
     reasoner is made, and every greedy call and ``check_deadline`` reads it,
     so the timeout binds the whole request. Nothing outlives the object: it
     holds the lanes and rows it compiled and ``memo``, which keeps what
-    callers derive once per request (``midground``'s non-trivial candidate
-    language, and what it has settled about a profile).
+    callers derive once per request (``midground``'s row language, and what
+    it has settled about a profile).
     """
 
     def __init__(
@@ -477,6 +475,11 @@ class Reasoner:
     def all_levels(self) -> int:
         """Every canonical level's bit."""
         return (1 << len(self.levels)) - 1
+
+    @functools.cached_property
+    def alternatives(self) -> list[Alternative]:
+        """The space's alternatives in order, which ``nontrivial_rows`` indexes."""
+        return list(self.space.alternatives())
 
     @functools.cached_property
     def _lane_shape(self) -> tuple[int, int, int, int, int]:
@@ -525,9 +528,12 @@ class Reasoner:
         lose = lanes_at_most(b, a, top).to_bytes(size, "big")[::nbytes]
         return int(win.translate(_ABOVE_DIGITS), 2), int(lose.translate(_ABOVE_DIGITS), 2)
 
-    def row(self, s: Statement) -> tuple[int, int, bool]:
-        """``s``'s row: where its left side wins, where it loses, and
-        whether ``s`` is strict, compiled once per request."""
+    def row(self, s) -> tuple[int, int, bool]:
+        """``s``'s row: where its left side wins, where it loses, and whether
+        ``s`` is strict, compiled once per request. A row is its own row, so
+        each question that reads one statement's row takes the row instead."""
+        if type(s) is tuple:
+            return s
         return self._rows.get(s) or self._add_row(s)
 
     def _add_row(self, s: Statement) -> tuple[int, int, bool]:
@@ -578,36 +584,45 @@ class Reasoner:
             return Triviality.CONTRADICTION
         return Triviality.NON_TRIVIAL
 
-    def nontrivial_statements(self) -> list[Statement]:
+    def nontrivial_rows(self) -> list[tuple[int, int, bool, tuple[int, int, bool]]]:
         """The non-trivial hierarchical statements between two alternatives
-        of the space, ``a`` in the outer loop, then ``b``, weak before
-        strict, each with its row stored.
-
-        ``_classify_row``'s rule on the pair's row: the weak ``a >= b`` is
-        non-trivial when ``a`` loses at some level but not at all, the
-        strict ``a > b`` when it wins at some level but not at all. Under
-        the sum combiner ``classify`` reads per-variable signs instead; the
-        verdicts agree, since a subset sum wins everywhere iff every
-        variable does, and loses nowhere iff no variable does. The walk is
-        over a list of packed alternatives, with no lookups. The request's
-        deadline is read once per ``a``. The classification cap is checked
-        before any alternative is built.
+        of the space as entries ``(i, j, strict, row)``: ``alternatives[i]``
+        over ``alternatives[j]``, ``i`` in the outer loop, then ``j``, weak
+        before strict, and the statement's row; no ``Statement`` is built.
+        The weak ``a >= b`` is non-trivial when ``a`` loses at some level
+        but not at all, the strict ``a > b`` when it wins at some level but
+        not at all (``_classify_row``; under ``sum``, whose ``classify``
+        reads signs, a subset sum wins or loses everywhere iff every
+        variable does). Each pair is compared once: ``b`` over ``a`` wins
+        where ``a`` over ``b`` loses, and ``a`` over ``a`` is trivial. The
+        deadline is read once per ``i``, and the classification cap is
+        checked before any alternative is built.
         """
         self.check_classify_cap()
-        alts = list(self.space.alternatives())
-        packed = [self._packed(a) for a in alts]
+        packed = list(map(self._packed, self.alternatives))
         everywhere = self.all_levels
-        pair_row, found = self._pair_row, {}
-        for a, pa in zip(alts, packed):
+        pair_row, found, later = self._pair_row, [], {}
+        for i, pa in enumerate(packed):
             self.check_deadline()
-            for b, pb in zip(alts, packed):
-                win, lose = pair_row(pa, pb)
+            for j, pb in enumerate(packed):
+                if j > i:
+                    win, lose = later[i, j] = pair_row(pa, pb)
+                elif j < i:
+                    lose, win = later.pop((j, i))
+                else:
+                    continue
                 if lose and lose != everywhere:
-                    found[Statement(a, b, False)] = (win, lose, False)
+                    found.append((i, j, False, (win, lose, False)))
                 if win and win != everywhere:
-                    found[Statement(a, b, True)] = (win, lose, True)
-        self._rows.update(found)
-        return list(found)
+                    found.append((i, j, True, (win, lose, True)))
+        return found
+
+    def statement(self, entry: tuple[int, int, bool, tuple[int, int, bool]]) -> Statement:
+        """The ``Statement`` of a ``nontrivial_rows`` entry, its row stored."""
+        i, j, strict, row = entry
+        s = Statement(self.alternatives[i], self.alternatives[j], strict)
+        self._rows[s] = row
+        return s
 
     def prepare(self, statements: Sequence[Statement]) -> Sequence:
         """The statements as ``consistent_with_each`` and ``entailed_by_some``
@@ -682,17 +697,15 @@ class Reasoner:
         ones, or any that ``search_rows`` made, with its ``everything``."""
         return self._path(rows, everything)[0] is not None
 
-    def search_rows(
-        self, statements: Sequence[Statement]
-    ) -> tuple[list[tuple[int, int, bool]], int]:
-        """The statements' rows, and every step a model can take, as one
-        mask: the canonical levels (``all_levels``) under hierarchical
-        models, every variable's lane bit under lexicographic ones, whose
-        rows are packed over the whole set at once (``sign_matrix``) so that
-        they share one lane width."""
+    def search_rows(self, items: Sequence) -> tuple[list[tuple[int, int, bool]], int]:
+        """The rows of statements given as ``prepare`` makes them, and every
+        step a model can take, as one mask: the canonical levels
+        (``all_levels``) under hierarchical models, every variable's lane
+        bit under lexicographic ones, whose rows are packed over the whole
+        set at once (``sign_matrix``) so that they share one lane width."""
         if self.model_class != "lex":
-            return self.rows(statements), self.all_levels
-        signs, _ = sign_matrix(statements, self.c)
+            return list(items), self.all_levels
+        signs, _ = sign_matrix(items, self.c)
         return signs.rows, signs.lanes
 
     def is_consistent(self, statements: Sequence[Statement]) -> ConsistencyResult:

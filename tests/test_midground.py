@@ -55,6 +55,11 @@ SP2 = VariableSpace.binary(("x", "y"))
 SP3 = VariableSpace.binary(("x", "y", "z"))
 
 
+def pool_of(profile, lang, r):
+    """The statements of ``lang`` that ``_candidate_pool`` keeps, in order."""
+    return [lang[k] for k, _ in _candidate_pool(profile, r.prepare(lang), r)]
+
+
 def lex_profile(*stakeholder_sets, space=SP2, c=SUM):
     return Profile(
         space, c, "lex",
@@ -140,6 +145,29 @@ def test_hier_candidates_built_once_per_reasoner(monkeypatch):
     # a new request builds its own
     assert hier_candidates(SP3, c) == mg._hier_candidates(r)
     assert len(builds) == 2
+
+
+def test_statements_built_only_for_what_leaves_the_request(monkeypatch):
+    """The hierarchical language, pool, grouping, search and P5 scan run on
+    rows: existence builds one ``Statement``, its witness; construction one
+    per pool member at most; the P5 audit of its grounds none."""
+    profile, _ = nonuniqueness_fixture()
+    built = []
+    init = Statement.__init__
+    monkeypatch.setattr(
+        Statement, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k)
+    )
+    assert exists_mg_hier(profile).witness is not None
+    assert len(built) == 1
+    for language in ("full", "candidates"):
+        built.clear()
+        r = Reasoner(profile.space, profile.combiner)
+        res = midground._construct_mgs(profile, language, r)
+        assert res.stats["language"] > res.stats["pool"] >= len(built) > 0
+        built.clear()
+        for ground in res.grounds:
+            assert midground._check_postulates(ground, profile, True, r).p5.verdict == PASS
+        assert built == []
 
 
 def _small_spaces():
@@ -292,11 +320,11 @@ def test_exists_hier_nonuniqueness_fixture():
     assert res.exists and not res.via_union
     assert res.witness is not None
     # the two statements distinguished by the construction are both available
-    pool = tuple(_candidate_pool(
+    pool = pool_of(
         profile,
         hier_candidates(profile.space, profile.combiner),
         Reasoner(profile.space, profile.combiner),
-    ))
+    )
     psi1 = Statement(alts["gamma"], alts["delta"], True)
     psi2 = Statement(alts["delta"], alts["gamma"], True)
     assert psi1 in pool and psi2 in pool
@@ -429,7 +457,7 @@ def test_pool_strict_implies_weak_closure():
         except RuntimeError:
             continue
         cands = hier_candidates(sp, SUM)
-        pool = set(_candidate_pool(profile, cands, Reasoner(sp, SUM)))
+        pool = set(pool_of(profile, cands, Reasoner(sp, SUM)))
         for s in pool:
             if not s.strict:
                 continue
@@ -448,23 +476,40 @@ def test_pool_filters_once_per_equivalence_key(monkeypatch):
         s
         for s in lang
         if ref.classify(s) is Triviality.NON_TRIVIAL
-        and midground._compatible(s, facts, ref)
-        and midground._entailed(s, facts, ref)
+        and ref.consistent_with_each(s, facts.union_rows)
+        and ref.entailed_by_some(facts.stakeholder_rows, s)
     ]
     keys = {ref.equivalence_key(s) for s in lang}
     assert (len(lang), len(keys)) == (350, 130)
 
     asked = []
-    compatible = midground._compatible
+    compatible = Reasoner.consistent_with_each
 
-    def counting(s, facts, r):
+    def counting(self, s, others):
         asked.append(ref.equivalence_key(s))
-        return compatible(s, facts, r)
+        return compatible(self, s, others)
 
-    monkeypatch.setattr(midground, "_compatible", counting)
+    monkeypatch.setattr(Reasoner, "consistent_with_each", counting)
     r = Reasoner(profile.space, profile.combiner)
-    assert list(_candidate_pool(profile, lang, r)) == expected
+    assert pool_of(profile, lang, r) == expected
     assert len(asked) == len(set(asked)) <= len(keys)
+
+
+def test_audit_asks_p4_that_the_pool_filter_left_unasked():
+    """The pool filter does not ask P4 of a key that fails P3; an audit in
+    the same request asks it, and reports what a fresh request does."""
+    profile, _ = nonuniqueness_fixture()
+    r = Reasoner(profile.space, profile.combiner)
+    midground._construct_mgs(profile, "candidates", r)
+    verdicts = r.memo["facts"].verdicts
+    skipped = [
+        s for s in hier_candidates(profile.space, profile.combiner)
+        if verdicts[r.equivalence_key(s)][1] is None
+    ]
+    reports = [check_postulates((s,), profile) for s in skipped]
+    assert any(not report.p4.ok for report in reports)
+    for s, report in zip(skipped, reports):
+        assert midground._check_postulates((s,), profile, False, r) == report
 
 
 def test_one_reasoner_keeps_each_profiles_answers_apart():
@@ -538,7 +583,7 @@ def test_pool_filters_agree_with_postulate_audit():
         # The pool is given the language as construction resolves it, with
         # trivial statements dropped.
         r = Reasoner(SP2, c, mc)
-        pool = set(_candidate_pool(profile, _resolve_language(profile, "full", r)[0], r))
+        pool = set(pool_of(profile, _resolve_language(profile, "full", r)[0], r))
         audited = set()
         for s in lang:
             if classify(s, SP2, c, mc) is not Triviality.NON_TRIVIAL:
@@ -571,7 +616,9 @@ def test_grouping_key_matches_pairwise_equivalence():
                     break
             else:
                 expected.append([s])
-        assert _group_equivalent(pool, Reasoner(sp, c)) == expected, (sp, c)
+        r = Reasoner(sp, c)
+        keyed = [(s, r.equivalence_key(s)) for s in pool]
+        assert _group_equivalent(keyed) == expected, (sp, c)
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +926,7 @@ def test_p5_matches_oracle():
             continue
         r = Reasoner(SP2, c, mc)
         default = binary_language(SP2) if mc == "lex" else hier_candidates(SP2, c)
-        pool = list(_candidate_pool(profile, default, r))
+        pool = pool_of(profile, default, r)
         cands = list(construct_mgs(profile).grounds)
         for _ in range(4):
             if pool:
