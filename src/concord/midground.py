@@ -30,14 +30,17 @@ those instead of asking again.
 
 Under hierarchical models the pipeline runs on rows, not statements. Only
 non-trivial statements can join the pool, and those of the full language
-(the ``full`` language and the ``candidates``) are read off pair rows once
-per request as the *row language* (``_row_language``): entries of two
-alternative indices and a row, with no ``Statement`` built. Any other
-language is classified once per member (``_language``) and enters as rows
-too. The pool filter, the grouping by ``Reasoner.equivalence_key``, the
-existence scan, the sweep and the P5 scan read rows and keys. A
-``Statement`` is built only for a pool member, the existence witness, and
-what a caller asks for (``hier_candidates``, ``oracle mgs``).
+(the ``full`` language and the ``candidates``) are read off pair rows as
+the *row language* (``_row_language``): entries of two alternative indices
+and a row, with no ``Statement`` built. It depends only on the space's
+domains and the combiner, so it outlives the request: it is built once per
+process for the space compiled last (``reasoner.CompiledSpace``), and a
+request over another space replaces it. Any other language is classified
+once per member (``_language``) and enters as rows too. The pool filter,
+the grouping by ``Reasoner.equivalence_key``, the existence scan, the sweep
+and the P5 scan read rows and keys. A ``Statement`` is built only for a
+pool member, the existence witness, and what a caller asks for
+(``hier_candidates``, ``oracle mgs``).
 
 These inner questions read only a verdict, so they build no witness. Under
 hierarchical models entailment appends the complement's row (the
@@ -238,20 +241,11 @@ def _hier_candidates(r: Reasoner) -> tuple[Statement, ...]:
     return tuple(map(r.statement, _row_language(r)[0]))
 
 
-def _row_language(r: Reasoner) -> tuple[list, list[tuple[int, int, bool]]]:
+def _row_language(r: Reasoner) -> tuple[tuple, tuple[tuple[int, int, bool], ...]]:
     """The non-trivial statements of ``full_language``, in its order, as
-    ``Reasoner.nontrivial_rows`` entries and as their rows, built once per
-    ``Reasoner`` (its ``memo``), so once per request."""
-    found = r.memo.get("language")
-    if found is None:
-        entries = _nontrivial_language(r)
-        found = r.memo["language"] = entries, [entry[3] for entry in entries]
-    return found
-
-
-def _nontrivial_language(r: Reasoner) -> list:
-    """``Reasoner.nontrivial_rows``, with the language and classification
-    caps checked before any alternative is built."""
+    ``Reasoner.nontrivial_rows`` entries and as their rows, with the
+    language cap checked first: built once per compiled space, so once per
+    process for a space asked about again."""
     _check_full_language(r.space, r.limits)
     return r.nontrivial_rows()
 
@@ -450,10 +444,19 @@ def construct_mgs(
     binary selector on hierarchical profiles, and the candidate selector on
     lexicographic profiles, where the scan covers just what was given.
 
-    A consistent union short-circuits to the single ground it defines. The
-    returned grounds are cardinality-maximal consistent subsets of the
-    filtered pool; distinct ones are never equivalent, so no further
-    deduplication happens beyond dropping identical subsets.
+    A consistent union short-circuits to the single ground it defines.
+    Otherwise the returned grounds are the cardinality-maximal consistent
+    subsets of the filtered pool; distinct ones are never equivalent, so no
+    further deduplication happens beyond dropping identical subsets.
+
+    A smaller consistent subset can pass P1-P5 too, and is not returned.
+    On this planted document (two binary variables ``v0``, ``v1``,
+    ``combiner tie``, hierarchical models; stakeholder ``p0`` says
+    ``(1,1) >= (0,1); (1,1) > (0,1); (1,0) >= (1,1)`` and ``p1`` says
+    ``(0,1) >= (1,1)``), construction returns two grounds of 4 statements,
+    while ``{(0,1) >= (1,0), (1,1) > (0,0)}`` also passes P1-P5:
+    ``oracle.brute_mgs`` over ``hier_candidates`` (14 statements) returns
+    all three.
     """
     r = Reasoner(profile.space, profile.combiner, profile.model_class, limits)
     return _construct_mgs(profile, language, r)

@@ -255,9 +255,17 @@ def brute_mgs(
 
     Small languages (<= 20 statements) get the fully definitional route: every
     subset of the candidate pool is tested against the postulates, with
-    entailment-maximality decided by model-set minimality inside that family.
-    Larger languages use the equivalent sweep formulation: maximum-size
-    satisfied-pool slices over the model universe.
+    entailment-maximality decided by model-set minimality inside that family,
+    so every entailment-maximal ground is returned. Larger languages use the
+    sweep: maximum-size satisfied-pool slices over the model universe, so
+    only the cardinality-maximal grounds are returned, as
+    ``midground.construct_mgs`` returns them.
+
+    The two routes differ where a smaller ground is entailment-maximal too.
+    On the planted ``tie`` document of ``construct_mgs``'s docstring the
+    definitional route, over ``hier_candidates``' 14 statements, returns the
+    two grounds of 4 that construction returns and ``{(0,1) >= (1,0),
+    (1,1) > (0,0)}`` beside them.
     """
     union = profile.union_statements()
     if brute_consistent(union, profile.space, profile.combiner, profile.model_class, budget):

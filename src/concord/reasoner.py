@@ -30,15 +30,16 @@ on first need, and kept on it (``Statement.sign_row``): a lexicographic
 call gathers the rows of the statements it is given and derives only those
 of statements no call has met before.
 
-Hierarchical rows come from the same kernel. A ``Reasoner`` packs each
+Hierarchical rows come from the same kernel. A ``CompiledSpace`` packs each
 alternative's folds over the canonical levels into one int, a lane per
-level, of one width for the whole request (``Reasoner._lane_shape``), and a
-pair's win and lose levels are ``lanes_at_most`` both ways, compacted to
-one bit per level (``Reasoner._pair_row``).
+level, of one width for the whole space, and a pair's win and lose levels
+are ``lanes_at_most`` both ways, compacted to one bit per level
+(``CompiledSpace.pair_row``).
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
 import itertools
 import math
@@ -170,9 +171,10 @@ class SignRows(Frozen):
         return bit.bit_length() // self.width - 1
 
 
-# A row's lose bits and its strictness.
+# A row's lose bits and its strictness; a ``nontrivial_rows`` entry's row.
 _LOSE = operator.itemgetter(1)
 _STRICT = operator.itemgetter(2)
+_ENTRY_ROW = operator.itemgetter(3)
 
 
 def sign_matrix(
@@ -420,6 +422,131 @@ def _canonical_levels(n: int) -> list[int]:
 _ABOVE_DIGITS = bytes.maketrans(b"\x00\x80", b"10")
 
 
+class CompiledSpace:
+    """What hierarchical rows need of a space and combiner, compiled once per
+    process (``compile_space``): the canonical levels, every level's bit, the
+    lane shape, each alternative's packed lanes, and the non-trivial row
+    language. None of it depends on variable names, stakeholders or a
+    request, only on the space's domains and the combiner.
+
+    Lanes are packed on first need and kept per alternative (``packed``).
+    The row language and the alternatives it indexes are built on first ask
+    (``row_language``) and stored, as tuples, only once complete: a build
+    stopped by the deadline or a ``DomainMismatchError`` leaves nothing.
+    """
+
+    __slots__ = (
+        "space", "c", "levels", "all_levels", "bias", "most", "nbytes", "size", "top",
+        "lanes", "alternatives", "language",
+    )
+
+    def __init__(self, space: VariableSpace, c: Combiner) -> None:
+        """The levels and the lane shape: table folds are packed as their
+        rank in the universe. Built-in folds are biased by a bound on every
+        subset fold over the space's domains, the product of
+        max(|lo|, |hi|, 2) over the variables. It bounds sums (a + b <= ab
+        for a, b >= 2), products, minima and maxima, and, with two variables
+        or more, bitwise and and or, which stay within the two's-complement
+        width of their arguments. Lanes are whole bytes with the highest
+        value below the top bit, as ``lanes_at_most`` needs."""
+        self.space, self.c = space, c
+        self.levels = _canonical_levels(space.size)
+        nlevels = len(self.levels)
+        self.all_levels = (1 << nlevels) - 1
+        rank = c.rank
+        bounds = (max(abs(d[0]), abs(d[-1]), 2) for d in space.domains)
+        self.bias = 0 if rank else math.prod(bounds)
+        self.most = len(rank) - 1 if rank else 2 * self.bias
+        self.nbytes = (self.most.bit_length() + 8) // 8
+        self.size = nlevels * self.nbytes
+        self.top = _top_bits(nlevels, 8 * self.nbytes)
+        self.lanes: dict[tuple[int, ...], int] = {}
+        self.alternatives: tuple[Alternative, ...] | None = None
+        self.language: tuple[tuple, tuple] | None = None
+
+    def packed(self, alt: Alternative) -> int:
+        """``alt``'s folds over the canonical levels, lane ``j`` holding level
+        ``j``'s, packed once per compiled space. A value the lanes cannot
+        hold (one outside a table's universe, or a built-in fold beyond the
+        bound that the domains give) is refused."""
+        lanes = self.lanes.get(alt.values)
+        if lanes is None:
+            folds = _subset_folds(alt, self.space.size, self.c)
+            rank, bias = self.c.rank, self.bias
+            vals = [rank.get(folds[m], -1) if rank else folds[m] + bias for m in self.levels]
+            if min(vals) < 0 or max(vals) > self.most:
+                raise DomainMismatchError(f"alternative {alt} is outside the universe or domains")
+            nbytes = self.nbytes
+            packed = b"".join(v.to_bytes(nbytes, "little") for v in vals)
+            lanes = self.lanes[alt.values] = int.from_bytes(packed, "little")
+        return lanes
+
+    def pair_row(self, a: int, b: int) -> tuple[int, int]:
+        """The levels at which packed side ``a`` beats packed side ``b``, and
+        at which it loses, one bit per level: ``lanes_at_most`` both ways,
+        with each lane's top byte (every ``nbytes``-th byte, big-endian, from
+        the highest lane down) read as one binary digit."""
+        nbytes, size, top = self.nbytes, self.size, self.top
+        win = lanes_at_most(a, b, top).to_bytes(size, "big")[::nbytes]
+        lose = lanes_at_most(b, a, top).to_bytes(size, "big")[::nbytes]
+        return int(win.translate(_ABOVE_DIGITS), 2), int(lose.translate(_ABOVE_DIGITS), 2)
+
+    def row_language(self, check_deadline) -> tuple[tuple, tuple]:
+        """The non-trivial row language (``Reasoner.nontrivial_rows``),
+        built on first ask, calling ``check_deadline`` once per left
+        alternative, and stored once complete."""
+        if self.language is None:
+            self._build_language(check_deadline)
+        return self.language
+
+    def _build_language(self, check_deadline) -> None:
+        """Build the row language and store it with its alternatives."""
+        alternatives = tuple(self.space.alternatives())
+        packed = list(map(self.packed, alternatives))
+        everywhere = self.all_levels
+        pair_row, found, later = self.pair_row, [], {}
+        for i, pa in enumerate(packed):
+            check_deadline()
+            for j, pb in enumerate(packed):
+                if j > i:
+                    win, lose = later[i, j] = pair_row(pa, pb)
+                elif j < i:
+                    lose, win = later.pop((j, i))
+                else:
+                    continue
+                if lose and lose != everywhere:
+                    found.append((i, j, False, (win, lose, False)))
+                if win and win != everywhere:
+                    found.append((i, j, True, (win, lose, True)))
+        self.alternatives = alternatives
+        self.language = tuple(found), tuple(map(_ENTRY_ROW, found))
+
+
+# The space compiled last. One is kept, so what outlives a request is bounded
+# by one space's language; a request over another space replaces it.
+_compiled: CompiledSpace | None = None
+
+
+@atexit.register
+def _release() -> None:
+    """Drop the kept space at exit. Freed here, before the interpreter's
+    closing garbage collections, it costs a one-request process what
+    freeing it at the end of the request would; kept alive into them, they
+    also traverse it."""
+    global _compiled
+    _compiled = None
+
+
+def compile_space(space: VariableSpace, c: Combiner) -> CompiledSpace:
+    """The compiled space for ``space``'s domains and ``c``: the one kept if
+    it matches, else a new one, which is then kept instead."""
+    global _compiled
+    cs = _compiled
+    if cs is None or cs.space.domains != space.domains or cs.c != c:
+        cs = _compiled = CompiledSpace(space, c)
+    return cs
+
+
 class Reasoner:
     """Consistency, entailment, equivalence and triviality for one space,
     combiner, model class and set of limits: one request.
@@ -429,20 +556,24 @@ class Reasoner:
     that ``_greedy`` reads: the canonical levels (``_canonical_levels``) at
     which its left side wins and those at which it loses, bit ``j`` for
     level ``j``, and its strictness. Each alternative met is packed once
-    (``_packed``) and a pair's row read off two ``lanes_at_most`` calls
-    (``_pair_row``); a statement's row is kept once compiled (``row``).
-    The inner questions (``consistent_rows``, ``consistent_with_each``,
-    ``entailed_by_some``, ``equivalence_key``, and ``midground``'s
-    searches) take rows; ``nontrivial_rows`` gives the non-trivial part of
-    the full language as rows, and ``statement`` builds a ``Statement``
-    only for an entry a caller keeps.
+    (``CompiledSpace.packed``) and a pair's row read off two
+    ``lanes_at_most`` calls (``CompiledSpace.pair_row``); a statement's row
+    is kept for the request once compiled (``row``). The inner questions
+    (``consistent_rows``, ``consistent_with_each``, ``entailed_by_some``,
+    ``equivalence_key``, and ``midground``'s searches) take rows;
+    ``nontrivial_rows`` gives the non-trivial part of the full language as
+    rows, and ``statement`` builds a ``Statement`` only for an entry a
+    caller keeps.
 
     The request's deadline (``limits.timeout_ms``) is armed once, when the
     reasoner is made, and every greedy call and ``check_deadline`` reads it,
-    so the timeout binds the whole request. Nothing outlives the object: it
-    holds the lanes and rows it compiled and ``memo``, which keeps what
-    callers derive once per request (``midground``'s row language, and what
-    it has settled about a profile).
+    so the timeout binds the whole request. What depends only on the
+    space's domains and the combiner (the levels, the packed lanes, the row
+    language) outlives the request: it is the ``CompiledSpace`` kept for the
+    process, fetched on first hierarchical need (``compiled``), and only the
+    last space compiled is kept (``compile_space``). The rest is per
+    request: the rows of the statements met, and ``memo``, which keeps what
+    ``midground`` settles about a profile.
     """
 
     def __init__(
@@ -457,7 +588,7 @@ class Reasoner:
         self.model_class = model_class
         self.limits = limits
         self.deadline = limits.deadline()
-        self._lanes: dict[tuple[int, ...], int] = {}
+        self._cs: CompiledSpace | None = None
         self._rows: dict[Statement, tuple[int, int, bool]] = {}
         self.memo: dict[str, object] = {}
 
@@ -466,78 +597,26 @@ class Reasoner:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise IndeterminateError("request timed out")
 
-    @functools.cached_property
-    def levels(self) -> list[int]:
-        """The canonical level bitmasks over the space's variables."""
-        return _canonical_levels(self.space.size)
-
-    @functools.cached_property
-    def all_levels(self) -> int:
-        """Every canonical level's bit."""
-        return (1 << len(self.levels)) - 1
-
-    @functools.cached_property
-    def alternatives(self) -> list[Alternative]:
-        """The space's alternatives in order, which ``nontrivial_rows`` indexes."""
-        return list(self.space.alternatives())
-
-    @functools.cached_property
-    def _lane_shape(self) -> tuple[int, int, int, int, int]:
-        """The lanes of a packed alternative: the bias added to each fold, the
-        highest value a lane may hold, the bytes per lane and per alternative,
-        and every lane's top bit.
-
-        Table folds are packed as their rank in the universe. Built-in folds
-        are biased by a bound on every subset fold over the space's domains,
-        the product of max(|lo|, |hi|, 2) over the variables. It bounds sums
-        (a + b <= ab for a, b >= 2), products, minima and maxima, and, with
-        two variables or more, bitwise and and or, which stay within the
-        two's-complement width of their arguments. Lanes are whole bytes with
-        the highest value below the top bit, as ``lanes_at_most`` needs.
-        """
-        rank, nlevels = self.c.rank, len(self.levels)
-        bias = 0 if rank else math.prod(max(abs(d[0]), abs(d[-1]), 2) for d in self.space.domains)
-        most = len(rank) - 1 if rank else 2 * bias
-        nbytes = (most.bit_length() + 8) // 8
-        return bias, most, nbytes, nlevels * nbytes, _top_bits(nlevels, 8 * nbytes)
-
-    def _packed(self, alt: Alternative) -> int:
-        """``alt``'s folds over the canonical levels, lane ``j`` holding level
-        ``j``'s, packed once per request. A value the lanes cannot hold (one
-        outside a table's universe, or a built-in fold beyond the bound that
-        the domains give) is refused."""
-        lanes = self._lanes.get(alt.values)
-        if lanes is None:
-            bias, most, nbytes, _, _ = self._lane_shape
-            folds = _subset_folds(alt, self.space.size, self.c)
-            rank = self.c.rank
-            vals = [rank.get(folds[m], -1) if rank else folds[m] + bias for m in self.levels]
-            if min(vals) < 0 or max(vals) > most:
-                raise DomainMismatchError(f"alternative {alt} is outside the universe or domains")
-            packed = b"".join(v.to_bytes(nbytes, "little") for v in vals)
-            lanes = self._lanes[alt.values] = int.from_bytes(packed, "little")
-        return lanes
-
-    def _pair_row(self, a: int, b: int) -> tuple[int, int]:
-        """The levels at which packed side ``a`` beats packed side ``b``, and
-        at which it loses, one bit per level: ``lanes_at_most`` both ways,
-        with each lane's top byte (every ``nbytes``-th byte, big-endian, from
-        the highest lane down) read as one binary digit."""
-        _, _, nbytes, size, top = self._lane_shape
-        win = lanes_at_most(a, b, top).to_bytes(size, "big")[::nbytes]
-        lose = lanes_at_most(b, a, top).to_bytes(size, "big")[::nbytes]
-        return int(win.translate(_ABOVE_DIGITS), 2), int(lose.translate(_ABOVE_DIGITS), 2)
+    def compiled(self) -> CompiledSpace:
+        """The compiled space of the reasoner's space and combiner, fetched
+        (``compile_space``) on first need and held for the request."""
+        cs = self._cs
+        if cs is None:
+            cs = self._cs = compile_space(self.space, self.c)
+        return cs
 
     def row(self, s) -> tuple[int, int, bool]:
         """``s``'s row: where its left side wins, where it loses, and whether
-        ``s`` is strict, compiled once per request. A row is its own row, so
+        ``s`` is strict, compiled once per request from its sides' lanes,
+        which are packed once per compiled space. A row is its own row, so
         each question that reads one statement's row takes the row instead."""
         if type(s) is tuple:
             return s
         return self._rows.get(s) or self._add_row(s)
 
     def _add_row(self, s: Statement) -> tuple[int, int, bool]:
-        row = self._pair_row(self._packed(s.left), self._packed(s.right)) + (s.strict,)
+        cs = self.compiled()
+        row = cs.pair_row(cs.packed(s.left), cs.packed(s.right)) + (s.strict,)
         self._rows[s] = row
         return row
 
@@ -576,7 +655,7 @@ class Reasoner:
         loses at none; both hold at no model iff they hold at no level.
         """
         win, lose, strict = self.row(s)
-        everywhere = self.all_levels
+        everywhere = self.compiled().all_levels
         holds = win if strict else everywhere & ~lose
         if holds == everywhere:
             return Triviality.TAUTOLOGY
@@ -584,43 +663,35 @@ class Reasoner:
             return Triviality.CONTRADICTION
         return Triviality.NON_TRIVIAL
 
-    def nontrivial_rows(self) -> list[tuple[int, int, bool, tuple[int, int, bool]]]:
+    def nontrivial_rows(self) -> tuple[tuple, tuple]:
         """The non-trivial hierarchical statements between two alternatives
         of the space as entries ``(i, j, strict, row)``: ``alternatives[i]``
-        over ``alternatives[j]``, ``i`` in the outer loop, then ``j``, weak
-        before strict, and the statement's row; no ``Statement`` is built.
-        The weak ``a >= b`` is non-trivial when ``a`` loses at some level
-        but not at all, the strict ``a > b`` when it wins at some level but
-        not at all (``_classify_row``; under ``sum``, whose ``classify``
-        reads signs, a subset sum wins or loses everywhere iff every
-        variable does). Each pair is compared once: ``b`` over ``a`` wins
-        where ``a`` over ``b`` loses, and ``a`` over ``a`` is trivial. The
-        deadline is read once per ``i``, and the classification cap is
-        checked before any alternative is built.
+        over ``alternatives[j]`` (``CompiledSpace.alternatives``), ``i`` in
+        the outer loop, then ``j``, weak before strict, and the statement's
+        row; no ``Statement`` is built. Returns the entries and, in the same
+        order, their rows.
+
+        The weak ``a >= b`` is non-trivial when ``a`` loses at some level but
+        not at all, the strict ``a > b`` when it wins at some level but not
+        at all (``_classify_row``; under ``sum``, whose ``classify`` reads
+        signs, a subset sum wins or loses everywhere iff every variable
+        does). Each pair is compared once: ``b`` over ``a`` wins where ``a``
+        over ``b`` loses, and ``a`` over ``a`` is trivial.
+
+        The language is built once per compiled space, so a request over a
+        space compiled before reads it. The classification cap is checked,
+        and then the deadline read, before it is fetched or built; a build
+        reads the deadline once per ``i``.
         """
         self.check_classify_cap()
-        packed = list(map(self._packed, self.alternatives))
-        everywhere = self.all_levels
-        pair_row, found, later = self._pair_row, [], {}
-        for i, pa in enumerate(packed):
-            self.check_deadline()
-            for j, pb in enumerate(packed):
-                if j > i:
-                    win, lose = later[i, j] = pair_row(pa, pb)
-                elif j < i:
-                    lose, win = later.pop((j, i))
-                else:
-                    continue
-                if lose and lose != everywhere:
-                    found.append((i, j, False, (win, lose, False)))
-                if win and win != everywhere:
-                    found.append((i, j, True, (win, lose, True)))
-        return found
+        self.check_deadline()
+        return self.compiled().row_language(self.check_deadline)
 
     def statement(self, entry: tuple[int, int, bool, tuple[int, int, bool]]) -> Statement:
         """The ``Statement`` of a ``nontrivial_rows`` entry, its row stored."""
         i, j, strict, row = entry
-        s = Statement(self.alternatives[i], self.alternatives[j], strict)
+        alternatives = self.compiled().alternatives
+        s = Statement(alternatives[i], alternatives[j], strict)
         self._rows[s] = row
         return s
 
@@ -642,7 +713,8 @@ class Reasoner:
         (a lone statement that is not a contradiction always does). The
         second is the greedy's all-weak fallback.
         """
-        return bool((a[0] | b[0] if a[2] or b[2] else self.all_levels) & ~(a[1] | b[1]))
+        steps = a[0] | b[0] if a[2] or b[2] else self.compiled().all_levels
+        return bool(steps & ~(a[1] | b[1]))
 
     def consistent_with_each(self, s: Statement, others: Sequence) -> bool:
         """Whether ``{s, u}`` is consistent for every ``u`` in ``others``
@@ -704,7 +776,7 @@ class Reasoner:
         bit under lexicographic ones, whose rows are packed over the whole
         set at once (``sign_matrix``) so that they share one lane width."""
         if self.model_class != "lex":
-            return list(items), self.all_levels
+            return list(items), self.compiled().all_levels
         signs, _ = sign_matrix(items, self.c)
         return signs.rows, signs.lanes
 
@@ -728,7 +800,7 @@ class Reasoner:
         if path is None:
             return ConsistencyResult(False, None, SearchStats(nodes, max(nodes - 1, 0)))
         n = self.space.size
-        levels = self.levels
+        levels = self.compiled().levels
         witness = HierarchicalModel(
             tuple(
                 frozenset(v for v in range(n) if levels[bit.bit_length() - 1] >> v & 1)
@@ -757,7 +829,9 @@ class Reasoner:
         if stalled:
             return None, len(path) + 1
         if not path:
-            safe = _lowest_safe(rows, self.all_levels if everything is None else everything)
+            safe = _lowest_safe(
+                rows, self.compiled().all_levels if everything is None else everything
+            )
             return ([safe] if safe else None), 0
         return path, len(path)
 
@@ -798,7 +872,7 @@ class Reasoner:
         if self.model_class == "lex":
             return self.c.signs(s), s.strict
         win, lose, strict = self.row(s)
-        tie = (win | lose) != self.all_levels
+        tie = (win | lose) != self.compiled().all_levels
         return win, lose, strict if tie else None
 
 

@@ -123,27 +123,30 @@ def test_hier_candidates_are_exactly_the_nontrivial_statements():
 
 def test_hier_candidates_built_once_per_reasoner(monkeypatch):
     # construction over the candidate language, then P5 for each ground,
-    # share one build of the language per request
-    import concord.midground as mg
-
+    # share one build of the language per request; a new request over the
+    # same space reads that build, so it is built once per space
     builds = []
-    real = mg._nontrivial_language
+    real = reasoner.CompiledSpace._build_language
     monkeypatch.setattr(
-        mg, "_nontrivial_language", lambda *a: builds.append(a) or real(*a)
+        reasoner.CompiledSpace, "_build_language",
+        lambda self, *a: builds.append(self) or real(self, *a),
     )
+    monkeypatch.setattr(reasoner, "_compiled", None)
     c = Combiner("max")
     profile = Profile(SP3, c, "hier", (
         Stakeholder("a", (stmt((1, 0, 0), (0, 1, 0)),)),
         Stakeholder("b", (stmt((0, 1, 0), (1, 0, 0)),)),
     ))
     r = Reasoner(SP3, c, "hier")
-    res = mg._construct_mgs(profile, "candidates", r)
+    res = midground._construct_mgs(profile, "candidates", r)
     assert res.grounds and res.exhaustive
     for ground in res.grounds:
-        assert mg._check_postulates(ground, profile, True, r).p5.verdict == PASS
+        assert midground._check_postulates(ground, profile, True, r).p5.verdict == PASS
     assert len(builds) == 1
-    # a new request builds its own
-    assert hier_candidates(SP3, c) == mg._hier_candidates(r)
+    assert hier_candidates(SP3, c) == midground._hier_candidates(r)
+    assert len(builds) == 1
+    # a request over another combiner builds its own
+    hier_candidates(SP3, Combiner("min"))
     assert len(builds) == 2
 
 
