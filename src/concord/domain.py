@@ -103,8 +103,8 @@ def lanes_at_most(a: int, b: int, top: int) -> int:
     and ``top`` is every lane's top bit. Lane ``v`` of ``(b | top) - a`` is
     ``top_v + b_v - a_v``, which is positive, so no lane borrows from the
     next, and its top bit is set exactly where ``a_v <= b_v``: every lane in
-    two operations (the borrow trick). The lexicographic sign rows
-    (``reasoner.sign_matrix``) use it, and ``lanes_within`` inlines it.
+    two operations (the borrow trick). ``reasoner.CompiledSpace.pair_row``
+    uses it, and ``lanes_within`` inlines it.
     """
     return ((b | top) - a) & top
 
@@ -234,9 +234,9 @@ class Alternative(Frozen):
     ``lanes`` (it must equal ``pack_lanes(values)``): the document scanner
     decodes a tuple of single digits straight into its bytes, which are its
     lanes, so a parsed tuple is packed once, on the way in, and never again.
-    The lexicographic sign rows (``reasoner.sign_matrix``), the parser's range
-    check and ``VariableSpace.check_alternative`` read ``lanes`` instead of
-    walking the values. It is computed eagerly, so its cost falls where the
+    Lexicographic rows (``reasoner.CompiledSpace.packed``), the parser's
+    range check and ``VariableSpace.check_alternative`` read ``lanes``
+    instead of walking the values. It is computed eagerly, so its cost falls where the
     alternative is made (a document's set-up) and not in the first request.
     """
 
@@ -387,16 +387,13 @@ class Combiner(Frozen):
 class Statement(Frozen):
     """A comparative claim between two alternatives, weak or strict.
 
-    A statement keeps its lexicographic sign row once it is derived:
-    ``sign_row`` is ``(win, lose, strict)``, the top bits of the 8-bit lanes
-    (``Alternative.lanes``) where the left side beats the right and where it
-    is beaten, in the plain integer order every built-in combiner compares
-    by. ``reasoner.sign_matrix`` derives it on first need and reads it
-    afterwards; it stays ``None`` for a statement with a side that has no
-    lanes, and table combiners never read it. It is not derived here:
-    building every statement's row up front would double the cost of making
-    a statement, which hierarchical requests make by the hundred and never
-    ask a sign row of.
+    A statement keeps its row over the singleton levels once a built-in
+    combiner's request derives it (``reasoner.CompiledSpace.row``):
+    ``sign_row`` is ``(win, lose, strict)``, bit ``v`` of ``win`` set where
+    the left side beats the right at variable ``v``, of ``lose`` where it is
+    beaten, in the plain integer order every built-in combiner compares by.
+    Table combiners never read it. It is not derived here: hierarchical
+    requests make statements by the hundred and never ask for it.
     """
 
     __slots__ = ("left", "right", "strict", "_hash", "sign_row")

@@ -28,23 +28,27 @@ union's verdict, the rows of the union and of each stakeholder, P3 and P4
 per equivalence key, and the grounds returned. The postulate audit reads
 those instead of asking again.
 
-Under hierarchical models the pipeline runs on rows, not statements. Only
-non-trivial statements can join the pool, and those of the full language
-(the ``full`` language and the ``candidates``) are read off pair rows as
-the *row language* (``_row_language``): entries of two alternative indices
-and a row, with no ``Statement`` built. It depends only on the space's
-domains and the combiner, so it outlives the request: it is built once per
-process for the space compiled last (``reasoner.CompiledSpace``), and a
-request over another space replaces it. Any other language is classified
-once per member (``_language``) and enters as rows too. The pool filter,
-the grouping by ``Reasoner.equivalence_key``, the existence scan, the sweep
+The pipeline runs on rows, not statements, under both model classes: a
+statement's row over the singleton levels under lexicographic models, over
+the canonical levels under hierarchical ones (``reasoner.Reasoner``). Only
+non-trivial statements can join the pool. Under hierarchical models those
+of the full language (the ``full`` language and the ``candidates``) are
+read off pair rows as the *row language* (``_row_language``): entries of
+two alternative indices and a row, with no ``Statement`` built. It depends
+only on the space's domains and the combiner, so it outlives the request:
+it is built once per process for the space compiled last
+(``reasoner.CompiledSpace``), and a request over another space replaces
+it. Any other language is classified once per member (``_language``) and
+enters as rows too. The pool filter, the grouping by
+``Reasoner.equivalence_key``, the hierarchical existence scan, the sweep
 and the P5 scan read rows and keys. A ``Statement`` is built only for a
-pool member, the existence witness, and what a caller asks for
-(``hier_candidates``, ``oracle mgs``).
+language member that is not in the row language, a pool member, the
+existence witness, and what a caller asks for (``hier_candidates``,
+``oracle mgs``).
 
-These inner questions read only a verdict, so they build no witness. Under
-hierarchical models entailment appends the complement's row (the
-statement's row swapped, its strictness flipped), and P3 needs no greedy:
+These inner questions read only a verdict, so they build no witness.
+Entailment appends the complement's row (the statement's row swapped, its
+strictness flipped), and P3 needs no greedy:
 for statements ``s`` and ``u`` that are each consistent alone, ``{s, u}``
 is consistent iff some level is won by either and lost by neither when
 either is strict, or lost by neither when both are weak
@@ -78,14 +82,7 @@ from .domain import (
     dedupe_statements,
 )
 from .errors import CapacityError, DomainMismatchError, TrivialStakeholderError
-from .reasoner import (
-    DEFAULT_LIMITS,
-    Limits,
-    Reasoner,
-    _lex_consistent_from_signs,
-    complement_row,
-    sign_matrix,
-)
+from .reasoner import DEFAULT_LIMITS, Limits, Reasoner, complement_row
 from .results import (
     FAIL,
     NOT_CHECKED,
@@ -107,9 +104,8 @@ class _Facts:
     """What a request has settled about one profile, kept on its
     ``Reasoner`` (``_facts``): the stakeholder precondition (each set is
     consistent and falsifiable, checked here), the union and its verdict,
-    the union's and each stakeholder's statements as ``Reasoner.prepare``
-    makes them, P3 and P4 per equivalence key (``_verdicts``), and the
-    grounds returned after their re-check."""
+    the union's and each stakeholder's rows, P3 and P4 per equivalence key
+    (``_verdicts``), and the grounds returned after their re-check."""
 
     def __init__(self, profile: Profile, r: Reasoner) -> None:
         if not profile.stakeholders:
@@ -122,11 +118,11 @@ class _Facts:
                 raise TrivialStakeholderError(
                     f"stakeholder {sh.name!r} asserts nothing falsifiable"
                 )
-            self.stakeholder_rows.append(r.prepare(sh.statements))
+            self.stakeholder_rows.append(r.rows(sh.statements))
         self.profile = profile
         self.union = profile.union_statements()
         self.union_consistent = r.is_consistent(self.union).consistent
-        self.union_rows = r.prepare(self.union)
+        self.union_rows = r.rows(self.union)
         self.verdicts: dict[tuple, tuple[bool, bool | None]] = {}
         self.grounds: set[frozenset[Statement]] = set()
 
@@ -143,8 +139,8 @@ def _facts(profile: Profile, r: Reasoner) -> _Facts:
 def _verdicts(s, key: tuple, facts: _Facts, r: Reasoner, both: bool = False) -> tuple:
     """P3 (compatible with each union statement, ``consistent_with_each``)
     and P4 (entailed by some stakeholder, ``entailed_by_some``) of ``s``, a
-    statement or under hierarchical models its row, once per equivalence
-    key and request: statements sharing a key hold in the same models.
+    statement or its row, once per equivalence key and request: statements
+    sharing a key hold in the same models.
     Unless ``both`` is set, P4 is not asked while P3 fails: it reads None."""
     verdicts = facts.verdicts.get(key)
     if verdicts is None or both and verdicts[1] is None:
@@ -274,42 +270,27 @@ def exists_mg_lex(
 
     When the union is inconsistent, existence reduces to scanning the 2|V|
     candidate statements; both filters have per-variable sign
-    characterizations, so the scan is one pass over the union's sign rows. The
-    reported stats carry the nominal check counts of the direct procedure:
-    2|V|·|union| pairwise consistency checks and 2|V|·n entailment checks.
+    characterizations, so the scan is one pass over the union's rows over
+    the singleton levels, bit ``v`` for variable ``v``. The reported stats
+    carry the nominal check counts of the direct procedure: 2|V|·|union|
+    pairwise consistency checks and 2|V|·n entailment checks.
     ``limits.timeout_ms`` bounds the call, which is one request.
     """
     if profile.model_class != "lex":
         raise DomainMismatchError("exists_mg_lex needs a lexicographic profile")
-    if not profile.stakeholders:
-        raise TrivialStakeholderError("profile has no stakeholders")
-    nvars = profile.space.size
-    deadline = limits.deadline()
-    # Each stakeholder's rows and the union's are gathered from what the
-    # statements keep (``sign_matrix``); rows packed by rank may differ in
-    # lane width from the union's, so each set is read against its own lanes.
-    for sh in profile.stakeholders:
-        own, _ = sign_matrix(sh.statements, profile.combiner)
-        if _lex_consistent_from_signs(own, deadline)[0] is None:
-            raise TrivialStakeholderError(f"stakeholder {sh.name!r} is inconsistent")
-        lanes = own.lanes
-        if all(win == lanes if strict else not lose for win, lose, strict in own.rows):
-            raise TrivialStakeholderError(
-                f"stakeholder {sh.name!r} asserts nothing falsifiable"
-            )
-    union = profile.union_statements()
-    signs, _ = sign_matrix(union, profile.combiner)
-    lanes = signs.lanes
-    if _lex_consistent_from_signs(signs, deadline)[0] is not None:
+    r = Reasoner(profile.space, profile.combiner, profile.model_class, limits)
+    facts = _facts(profile, r)
+    if facts.union_consistent:
         return ExistenceResult(
             True, via_union=True, stats={"pairwise_checks": 0, "entailment_checks": 0}
         )
     # The variables whose weak or strict candidate clashes with some union
     # statement (P3), and those where some stakeholder entails it (P4), as
-    # lane masks. Every union statement belongs to a stakeholder, so entailment
+    # bit masks. Every union statement belongs to a stakeholder, so entailment
     # by one stakeholder is entailment by some union statement.
+    nvars, lanes = profile.space.size, r.compiled().all_levels
     weak_clash = strict_clash = weak_entailed = strict_entailed = 0
-    for win, lose, strict in signs.rows:
+    for win, lose, strict in facts.union_rows:
         # The weak candidate for v follows from any statement losing at v; the
         # strict one also from a strict statement that ties at v.
         weak_entailed |= lose
@@ -336,7 +317,7 @@ def exists_mg_lex(
                 weak_clash |= lanes & ~lose
                 strict_clash |= lanes & ~(lose | win)
     stats = {
-        "pairwise_checks": 2 * nvars * len(union),
+        "pairwise_checks": 2 * nvars * len(facts.union),
         "entailment_checks": 2 * nvars * len(profile.stakeholders),
     }
     # The first surviving candidate in lex_candidates order is the witness.
@@ -345,7 +326,7 @@ def exists_mg_lex(
         (True, strict_entailed & ~strict_clash),
     ):
         if ok:
-            variable = signs.variable(ok & -ok)
+            variable = (ok & -ok).bit_length() - 1
             witness = _lex_candidate(nvars, variable, strict_candidate)
             return ExistenceResult(True, witness=witness, stats=stats)
     return ExistenceResult(False, stats=stats)
@@ -382,8 +363,7 @@ def _language(
     drop), where ``statement(k)`` builds item ``k``'s ``Statement``. A
     hierarchical profile's ``full`` language and ``candidates`` are its row
     language; any other is classified here, reading the deadline as the
-    pool filter does, and its items are what ``Reasoner.prepare`` makes of
-    the statements kept."""
+    pool filter does, and its items are the rows of the statements kept."""
     lex = profile.model_class == "lex"
     if language is None:
         language = "binary" if lex else "full"
@@ -408,7 +388,7 @@ def _language(
             r.check_deadline()
         if r.classify(s) is Triviality.NON_TRIVIAL:
             kept.append(s)
-    return r.prepare(kept), kept.__getitem__, exhaustive, len(lang)
+    return r.rows(kept), kept.__getitem__, exhaustive, len(lang)
 
 
 def _resolve_language(
@@ -482,11 +462,11 @@ def _construct_mgs(profile: Profile, language, r: Reasoner) -> MiddleGroundSet:
     stats["classes"] = len(classes)
     # A class's members hold in the same models, so its first one's row
     # stands for it. Class i owns its members' bits in ``members``, built here.
-    rows, everything = r.search_rows([items[cls[0]] for cls in classes])
+    rows = [items[cls[0]] for cls in classes]
     members = tuple(map(statement, itertools.chain.from_iterable(classes)))
     ends = list(itertools.accumulate(map(len, classes)))
     masks = [(1 << end) - (1 << start) for start, end in zip([0] + ends, ends)]
-    slices, stats["nodes"] = _best_slices(rows, masks, everything, r)
+    slices, stats["nodes"] = _best_slices(rows, masks, r.compiled().all_levels, r)
     grounds = [tuple(itertools.compress(members, map(int, bin(m)[:1:-1]))) for m in slices]
     # The search asked for verdicts only; what is returned gets a witness,
     # re-checked statement by statement.
@@ -619,8 +599,8 @@ def _check_postulates(
 def _p5_verdict(cand: Sequence[Statement], facts: _Facts, r: Reasoner) -> str:
     """P5 for a consistent candidate when the union is inconsistent.
 
-    The pool is the default language's non-trivial statements that pass P3
-    and P4. A pool statement ``s`` *splits* the candidate when the candidate
+    The pool is the default language's non-trivial statements (``_language``)
+    that pass P3 and P4. A pool statement ``s`` *splits* the candidate when the candidate
     plus ``s`` is consistent and the candidate does not entail ``s``.
 
     - No splitter: pass. A violator ``S`` (a consistent pool subset whose
@@ -633,8 +613,8 @@ def _p5_verdict(cand: Sequence[Statement], facts: _Facts, r: Reasoner) -> str:
       fails P3 or P4, so the candidate is no middle ground either way.
 
     Equivalent statements split alike and pass the filters alike, so the
-    scan, over rows under hierarchical models, asks about one statement
-    per ``Reasoner.equivalence_key``, skipping the candidate's own keys; the
+    scan, over the default language's rows, asks about one statement per
+    ``Reasoner.equivalence_key``, skipping the candidate's own keys; the
     split test is two verdicts on the members' rows plus ``s``'s row, then
     its complement row. Only splitters reach the filters (``_verdicts``).
     """
@@ -643,20 +623,16 @@ def _p5_verdict(cand: Sequence[Statement], facts: _Facts, r: Reasoner) -> str:
         for s in cand
         if r.classify(s) is not Triviality.TAUTOLOGY
     }
-    reps = list(r.prepare(tuple(members.values())))
+    taken = r.rows(tuple(members.values()))
     seen = set(members)
-    lex = r.model_class == "lex"
-    lang = binary_language(r.space, r.limits) if lex else _row_language(r)[1]
-    rows, steps = r.search_rows(reps + list(lang))
-    taken = rows[: len(reps)]
     verdict = r.consistent_rows
-    for x, row in zip(lang, rows[len(reps):]):
-        key = r.equivalence_key(x)
+    for row in _language(facts.profile, None, r)[0]:
+        key = r.equivalence_key(row)
         if key in seen:
             continue
         seen.add(key)
-        split = verdict(taken + [row], steps) and verdict(taken + [complement_row(row)], steps)
-        if split and all(_verdicts(x, key, facts, r)):
+        split = verdict(taken + [row]) and verdict(taken + [complement_row(row)])
+        if split and all(_verdicts(row, key, facts, r)):
             every = all(all(_verdicts(m, k, facts, r)) for k, m in members.items())
             return FAIL if every else NOT_CHECKED
     return PASS

@@ -1,40 +1,39 @@
 """Consistency, entailment, equivalence and triviality classification.
 
-Both engines are greedy constructions that never undo a step. The
-lexicographic one goes variable by variable (safe because appending a
-variable at which no pending statement strictly loses preserves
-satisfiability, and a satisfying model's first separating variable is always
-such a variable). The hierarchical one makes the same argument with levels
-in place of variables: it appends the first canonical level at which some
-pending statement wins and none loses. That needs levels to be free to
-overlap, as ``models`` and ``oracle`` allow; ``is_consistent_hier`` gives
-the argument. It reads each statement's win and lose levels from rows that a
-``Reasoner`` compiles once per statement, and scans all 2^n - 1 levels, so it
-stays exponential in the number of variables.
+One greedy construction, which never undoes a step, decides both model
+classes. A hierarchical model is a sequence of levels, non-empty variable
+sets; a lexicographic model is the special case in which every level holds
+one variable. The greedy appends the first level at which some pending
+statement wins and none loses. Putting such a level in front of any model
+that satisfies the pending statements keeps them satisfied, and a
+satisfying model's first level that decides a pending statement is always
+such a level. That needs levels to be free to overlap, as ``models`` and
+``oracle`` allow; ``is_consistent_hier`` gives the argument. Over
+singleton levels a variable taken twice decides nothing the second time,
+so the argument holds for lexicographic models as it stands.
 
-Both run one kernel, ``_greedy``, on rows of two Python ints per statement:
-the steps at which its left side wins and those at which it loses, one bit
-per step, lowest bit first. Hierarchical rows have a bit per canonical level.
-Lexicographic rows have a lane of bits per variable: each side of a
-statement is packed into one int whose lane ``v`` (bits ``v * w`` up to
-``v * w + w - 1``, for a lane width ``w`` of whole bytes) holds the side's
-value at variable ``v``, or that value's rank (``sign_matrix``). With
-``top`` the top bit of every lane, the lanes where side ``a`` beats side
-``b`` are ``top ^ lanes_at_most(a, b, top)``, all variables in four
-operations; ``domain.lanes_at_most`` states why, and its precondition that
-every packed value sits below its lane's top bit. A statement's signs are
-the top bits of its win and lose lanes. Under a built-in combiner, with
-every value in 0..127, the packing is done once per alternative when it is
-built (``Alternative.lanes``, 8-bit lanes), and the row once per statement,
-on first need, and kept on it (``Statement.sign_row``): a lexicographic
-call gathers the rows of the statements it is given and derives only those
-of statements no call has met before.
+The greedy, ``_greedy``, runs on rows of two Python ints per statement: the
+levels at which its left side wins and those at which it loses, bit ``j``
+for level ``j``, lowest bit first. A ``CompiledSpace`` compiles rows over
+one level list: the canonical levels (``_canonical_levels``: by size, then
+by sorted variable indices, all 2^n - 1 of them, so hierarchical search
+stays exponential in the number of variables), or the n singletons, which
+are the first n canonical levels. A statement's lexicographic row is
+therefore the low n bits of its hierarchical row. Each alternative's folds
+over the levels are packed into one int, a lane per level
+(``CompiledSpace.packed``), and a pair's win and lose levels are
+``domain.lanes_at_most`` both ways, compacted to one bit per level
+(``CompiledSpace.pair_row``). Over the singletons a fold is a single value:
+under a built-in combiner, with every value in 0..127, the lanes are the
+``Alternative.lanes`` the alternative was built with, and a statement's row
+is kept on it once derived (``Statement.sign_row``), so a call gathers the
+rows of statements met before instead of comparing their sides again.
 
-Hierarchical rows come from the same kernel. A ``CompiledSpace`` packs each
-alternative's folds over the canonical levels into one int, a lane per
-level, of one width for the whole space, and a pair's win and lose levels
-are ``lanes_at_most`` both ways, compacted to one bit per level
-(``CompiledSpace.pair_row``).
+Consistency, entailment (the premises plus the complement's row: wins and
+losses swapped, strictness flipped), the pairwise tests ``midground``
+filters with, equivalence keys and triviality all read these rows, in the
+same code for both classes. What stays class-specific is the witness and
+its re-check, and the caps on hierarchical spaces.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ import itertools
 import math
 import operator
 import time
+from types import SimpleNamespace
 from typing import Sequence
 
 from .domain import (
@@ -56,7 +56,6 @@ from .domain import (
     VariableSpace,
     _set,
     _top_bits,
-    complement,
     dedupe_statements,
     lanes_at_most,
 )
@@ -122,53 +121,7 @@ def classify(
 
 def classify_lex(s: Statement, space: VariableSpace, c: Combiner) -> Triviality:
     """Triviality over lexicographic models; only per-variable signs matter."""
-    return _triviality(c.signs(s), s.strict)
-
-
-def _triviality(signs: Sequence[int], strict: bool) -> Triviality:
-    """Verdict from a statement's signs across the models: a strict statement
-    holds where its sign is positive, a weak one where it is not negative."""
-    need = 1 if strict else 0
-    if min(signs) >= need:
-        return Triviality.TAUTOLOGY
-    if max(signs) < need:
-        return Triviality.CONTRADICTION
-    return Triviality.NON_TRIVIAL
-
-
-class SignRows(Frozen):
-    """Per-variable comparison signs of a statement sequence, as bit lanes.
-
-    ``rows[i]`` is statement ``i``'s ``(win, lose, strict)``: ``win`` has the
-    top bit of lane ``v`` set where the left side beats the right at variable
-    ``v``, ``lose`` where it is beaten. Lanes are ``width`` bits wide; lane
-    ``v`` holds bits ``v * width`` up to ``v * width + width - 1``.
-    """
-
-    __slots__ = _fields = ("rows", "nvars", "width")
-
-    def __init__(self, rows: list[tuple[int, int, bool]], nvars: int, width: int) -> None:
-        _set(self, "rows", rows)
-        _set(self, "nvars", nvars)
-        _set(self, "width", width)
-
-    @property
-    def size(self) -> int:
-        """Statements x variables: the signs the rows hold."""
-        return len(self.rows) * self.nvars
-
-    @property
-    def lanes(self) -> int:
-        """Every lane's top bit."""
-        return _top_bits(self.nvars, self.width)
-
-    def bit(self, v: int) -> int:
-        """Variable ``v``'s lane bit."""
-        return 1 << (v + 1) * self.width - 1
-
-    def variable(self, bit: int) -> int:
-        """The variable whose lane bit ``bit`` is."""
-        return bit.bit_length() // self.width - 1
+    return Reasoner(space, c, "lex").classify(s)
 
 
 # A row's lose bits and its strictness; a ``nontrivial_rows`` entry's row.
@@ -177,99 +130,15 @@ _STRICT = operator.itemgetter(2)
 _ENTRY_ROW = operator.itemgetter(3)
 
 
-def sign_matrix(
-    statements: Sequence[Statement], c: Combiner
-) -> tuple[SignRows, tuple[bool, ...]]:
-    """Per-variable comparison signs as bit lanes, plus strictness flags.
-
-    Each side is packed into one int, a lane per variable (module docstring).
-    Under a built-in combiner, when every side has its values packed
-    (``Alternative.lanes``: all in 0..127), each statement's row over those
-    8-bit lanes is the one it keeps (``Statement.sign_row``), derived and
-    kept on first need; a kept row shows that its two sides have the same
-    length, so only its left side is measured against the other statements'.
-    Otherwise each value is replaced by its rank: its position in a table
-    combiner's universe, or among the distinct values present; ranks keep
-    the value order, so the signs are the same. The rank path neither reads
-    nor keeps a row: table combiners order values their own way.
-    """
-    nvars = len(statements[0].left.values) if statements else 0
-    if c.rank is None:
-        top = _top_bits(nvars, 8)
-        rows = [
-            len(s.left.values) == nvars and s.sign_row or _keep_row(s, nvars, top)
-            for s in statements
-        ]
-        if all(rows):
-            return SignRows(rows, nvars, 8), tuple(map(_STRICT, rows))
-    rows, width = _rank_rows(statements, c, nvars)
-    return SignRows(rows, nvars, width), tuple(s.strict for s in statements)
-
-
-def _sign_row(a: int, b: int, strict: bool, top: int) -> tuple[int, int, bool]:
-    """The row of packed sides ``a`` and ``b``: the top bit of each lane where
-    ``a`` beats ``b``, where it is beaten, and the strictness."""
-    return top ^ lanes_at_most(a, b, top), top ^ lanes_at_most(b, a, top), strict
-
-
-def _check_sides(s: Statement, nvars: int) -> None:
-    """Refuse a statement without ``nvars`` values on each side."""
-    if len(s.left.values) != nvars or len(s.right.values) != nvars:
-        raise DomainMismatchError(f"statement {s} does not have {nvars} values a side")
-
-
-def _keep_row(s: Statement, nvars: int, top: int) -> tuple[int, int, bool] | None:
-    """``s``'s row over 8-bit lanes, kept on ``s``; ``None`` when a side
-    has no lanes."""
-    _check_sides(s, nvars)
-    a, b = s.left.lanes, s.right.lanes
-    if a is None or b is None:
-        return None
-    row = _sign_row(a, b, s.strict, top)
-    _set(s, "sign_row", row)
-    return row
-
-
-def _rank_rows(
-    statements: Sequence[Statement], c: Combiner, nvars: int
-) -> tuple[list[tuple[int, int, bool]], int]:
-    """The statements' rows over lanes of ranks, and the lane width
-    (``sign_matrix``)."""
-    for s in statements:
-        _check_sides(s, nvars)
-    rank = c.rank
-    if rank is None:
-        present = {v for s in statements for v in s.left.values + s.right.values}
-        rank = {v: i for i, v in enumerate(sorted(present))}
-    # Whole bytes per lane, enough to keep every rank below the top bit.
-    nbytes = (max(len(rank) - 1, 0).bit_length() + 8) // 8
-    top = _top_bits(nvars, 8 * nbytes)
-
-    def pack(alt: Alternative) -> int:
-        try:
-            ranks = [rank[v] for v in alt.values]
-        except KeyError as exc:
-            raise DomainMismatchError(
-                f"value {exc.args[0]} outside combiner universe"
-            ) from None
-        return int.from_bytes(
-            b"".join(r.to_bytes(nbytes, "little") for r in ranks), "little"
-        )
-
-    rows = [_sign_row(pack(s.left), pack(s.right), s.strict, top) for s in statements]
-    return rows, 8 * nbytes
-
-
-def _lex_witness_ok(signs: SignRows, variables: Sequence[int]) -> bool:
-    """Whether the lexicographic model over ``variables`` satisfies every row:
-    the first of them at which a row is not tied must be a win, and a row
-    tied at all of them must be weak.
+def _lex_witness_ok(rows: Sequence[tuple[int, int, bool]], steps: Sequence[int]) -> bool:
+    """Whether the model taking ``steps`` (level bits, repeats allowed) in
+    order satisfies every row: the first step at which a row is not tied
+    must be a win, and a row tied at all of them must be weak.
 
     Each step ORs the pending rows' lose bits once; when none loses at the
-    variable, the rows that do not win there are the ones tied."""
-    pending = signs.rows
-    for v in variables:
-        bit = signs.bit(v)
+    step, the rows that do not win there are the ones tied."""
+    pending = rows
+    for bit in steps:
         if functools.reduce(operator.or_, map(_LOSE, pending), 0) & bit:
             return False
         pending = [r for r in pending if not r[0] & bit]
@@ -281,9 +150,8 @@ def _greedy(
     settle_weak: bool,
     deadline: float | None = None,
 ) -> tuple[list[int], list[tuple[int, int, bool]], bool]:
-    """The greedy both engines run, on ``(win, lose, strict)`` rows whose bits
-    are the steps a model can take, lowest bit first (a variable's lane bit,
-    or a canonical level).
+    """The greedy, on ``(win, lose, strict)`` rows whose bits are the levels
+    a model can take, lowest bit first.
 
     While a strict row is pending (any row, with ``settle_weak``), append the
     lowest bit at which some pending row wins and none loses, and keep only
@@ -311,58 +179,8 @@ def _greedy(
 
 def complement_row(row: tuple[int, int, bool]) -> tuple[int, int, bool]:
     """The row of a statement's complement (``domain.complement``), from the
-    statement's row, hierarchical or lexicographic: its wins and losses
-    swapped, its strictness flipped."""
+    statement's row: its wins and losses swapped, its strictness flipped."""
     return row[1], row[0], not row[2]
-
-
-def _lowest_safe(rows: list[tuple[int, int, bool]], everything: int) -> int:
-    """The lowest bit of ``everything`` at which no row loses, or 0."""
-    lose = 0
-    for _, l, _ in rows:
-        lose |= l
-    safe = everything & ~lose
-    return safe & -safe
-
-
-def _lex_greedy(
-    signs: SignRows, deadline: float | None = None
-) -> tuple[list[int], list, int, int]:
-    """The greedy over lexicographic rows, run until every row is decided or
-    it stalls; past ``deadline`` it raises ``IndeterminateError``.
-
-    Returns the chosen variable prefix, the rows still undecided when the
-    greedy stalls, and the node / candidate counters.
-    """
-    path, pending, stalled = _greedy(signs.rows, True, deadline)
-    chosen = [signs.variable(bit) for bit in path]
-    return chosen, pending, len(path), signs.nvars * (len(path) + stalled)
-
-
-def _lex_consistent_from_signs(
-    signs: SignRows, deadline: float | None = None
-) -> tuple[tuple[int, ...] | None, int, int]:
-    """The lexicographic verdict over sign rows: the greedy plus its stall rule.
-    Past ``deadline`` (``Limits.deadline``) it raises ``IndeterminateError``.
-
-    Returns the witness variables (``None`` when inconsistent) and the
-    greedy's node / candidate counters. When the greedy stalls with only
-    non-strict statements pending and nothing chosen yet, a single variable at
-    which nothing loses still witnesses consistency (models cannot be empty);
-    with something chosen, the pending statements tie on every chosen variable
-    and the prefix itself is a witness. With no rows at all, variable 0 is.
-    """
-    chosen, pending, nodes, tried = _lex_greedy(signs, deadline)
-    if any(strict for _, _, strict in pending):
-        return None, nodes, tried
-    if chosen:
-        return tuple(chosen), nodes, tried
-    if not pending:
-        return (0,), nodes, tried
-    safe = _lowest_safe(pending, signs.lanes)
-    if not safe:
-        return None, nodes, tried
-    return (signs.variable(safe),), nodes, tried
 
 
 def is_consistent_lex(
@@ -377,23 +195,21 @@ def is_consistent_lex(
     path, nor the witness, nor its counters. ``limits.timeout_ms`` bounds the
     call, which is one request.
     """
-    return _is_consistent_lex(statements, c, limits.deadline())
+    return Reasoner(space, c, "lex", limits).is_consistent(statements)
 
 
-def _is_consistent_lex(
-    statements: Sequence[Statement], c: Combiner, deadline: float | None
-) -> ConsistencyResult:
-    """``is_consistent_lex`` within a request's ``deadline``."""
-    if not statements:
-        return ConsistencyResult(True, LexicographicModel((0,)))
-    signs, _ = sign_matrix(statements, c)
-    variables, nodes, tried = _lex_consistent_from_signs(signs, deadline)
-    stats = SearchStats(nodes=nodes, levels_tried=tried)
-    if variables is None:
-        return ConsistencyResult(False, None, stats)
-    if not _lex_witness_ok(signs, variables):
-        raise RuntimeError("internal error: lex witness failed re-check")
-    return ConsistencyResult(True, LexicographicModel(variables), stats)
+# Kept for the benchmark's tracer, which wraps ``sign_matrix``, ``_lex_greedy``
+# and ``_lex_consistent_from_signs`` (after ``Reasoner``) by name and reads
+# ``sign_matrix(...)[0].size`` and ``_lex_greedy(...)[2]``. Each delegates to
+# the one kernel; nothing in the package calls them.
+def sign_matrix(statements: Sequence[Statement], space: VariableSpace, c: Combiner):
+    rows = Reasoner(space, c, "lex").rows(statements)
+    return SimpleNamespace(rows=rows, size=len(rows) * space.size), tuple(map(_STRICT, rows))
+
+
+def _lex_greedy(rows: list[tuple[int, int, bool]], deadline: float | None = None):
+    path, pending, stalled = _greedy(rows, True, deadline)
+    return path, pending, len(path), stalled
 
 
 def _canonical_levels(n: int) -> list[int]:
@@ -423,41 +239,58 @@ _ABOVE_DIGITS = bytes.maketrans(b"\x00\x80", b"10")
 
 
 class CompiledSpace:
-    """What hierarchical rows need of a space and combiner, compiled once per
-    process (``compile_space``): the canonical levels, every level's bit, the
+    """What rows need of a space and a combiner over one level list, the
+    canonical levels or the singletons: the levels, every level's bit, the
     lane shape, each alternative's packed lanes, and the non-trivial row
     language. None of it depends on variable names, stakeholders or a
     request, only on the space's domains and the combiner.
 
-    Lanes are packed on first need and kept per alternative (``packed``).
-    The row language and the alternatives it indexes are built on first ask
+    Lanes are packed on first need and kept per alternative (``packed``),
+    except where they are the alternatives' own (``bytewise``). The row
+    language and the alternatives it indexes are built on first ask
     (``row_language``) and stored, as tuples, only once complete: a build
     stopped by the deadline or a ``DomainMismatchError`` leaves nothing.
     """
 
     __slots__ = (
-        "space", "c", "levels", "all_levels", "bias", "most", "nbytes", "size", "top",
-        "lanes", "alternatives", "language",
+        "space", "c", "singletons", "levels", "all_levels", "bias", "most", "nbytes",
+        "size", "top", "keeps", "bytewise", "lanes", "alternatives", "language",
     )
 
-    def __init__(self, space: VariableSpace, c: Combiner) -> None:
-        """The levels and the lane shape: table folds are packed as their
-        rank in the universe. Built-in folds are biased by a bound on every
-        subset fold over the space's domains, the product of
-        max(|lo|, |hi|, 2) over the variables. It bounds sums (a + b <= ab
-        for a, b >= 2), products, minima and maxima, and, with two variables
-        or more, bitwise and and or, which stay within the two's-complement
-        width of their arguments. Lanes are whole bytes with the highest
-        value below the top bit, as ``lanes_at_most`` needs."""
-        self.space, self.c = space, c
-        self.levels = _canonical_levels(space.size)
+    def __init__(self, space: VariableSpace, c: Combiner, singletons: bool = False) -> None:
+        """The levels and the lane shape. Table folds are packed as their
+        rank in the universe. Built-in folds over canonical levels are
+        biased by a bound on every subset fold over the space's domains, the
+        product of max(|lo|, |hi|, 2) over the variables. It bounds sums
+        (a + b <= ab for a, b >= 2), products, minima and maxima, and, with
+        two variables or more, bitwise and and or, which stay within the
+        two's-complement width of their arguments. A singleton fold is a
+        single value: biased by the lowest domain value below 0, and held in
+        lanes wide enough for the highest, up to what they can hold. Lanes
+        are whole bytes with the highest value below the top bit, as
+        ``lanes_at_most`` needs."""
+        self.space, self.c, self.singletons = space, c, singletons
+        n = space.size
+        self.levels = [1 << v for v in range(n)] if singletons else _canonical_levels(n)
         nlevels = len(self.levels)
         self.all_levels = (1 << nlevels) - 1
         rank = c.rank
-        bounds = (max(abs(d[0]), abs(d[-1]), 2) for d in space.domains)
-        self.bias = 0 if rank else math.prod(bounds)
-        self.most = len(rank) - 1 if rank else 2 * self.bias
+        if rank:
+            self.bias, self.most = 0, len(rank) - 1
+        elif singletons:
+            self.bias = max(-min(d[0] for d in space.domains), 0)
+            self.most = max(d[-1] for d in space.domains) + self.bias
+        else:
+            self.bias = math.prod(max(abs(d[0]), abs(d[-1]), 2) for d in space.domains)
+            self.most = 2 * self.bias
         self.nbytes = (self.most.bit_length() + 8) // 8
+        # Singleton rows under a built-in combiner compare values in the
+        # plain integer order whatever the space, so they are kept on the
+        # statement, and any value the lanes hold is packed.
+        self.keeps = singletons and not rank
+        if self.keeps:
+            self.most = (1 << 8 * self.nbytes - 1) - 1
+        self.bytewise = self.keeps and self.nbytes == 1 and not self.bias
         self.size = nlevels * self.nbytes
         self.top = _top_bits(nlevels, 8 * self.nbytes)
         self.lanes: dict[tuple[int, ...], int] = {}
@@ -465,17 +298,35 @@ class CompiledSpace:
         self.language: tuple[tuple, tuple] | None = None
 
     def packed(self, alt: Alternative) -> int:
-        """``alt``'s folds over the canonical levels, lane ``j`` holding level
-        ``j``'s, packed once per compiled space. A value the lanes cannot
-        hold (one outside a table's universe, or a built-in fold beyond the
-        bound that the domains give) is refused."""
+        """``alt``'s folds over the levels, lane ``j`` holding level ``j``'s,
+        packed once per compiled space, or the alternative's own lanes. A
+        value the lanes cannot hold (one outside a table's universe, or a
+        built-in fold beyond the bound) is refused."""
+        if self.bytewise:
+            if alt.lanes is None:
+                raise DomainMismatchError(f"alternative {alt} is outside the universe or domains")
+            return alt.lanes
         lanes = self.lanes.get(alt.values)
         if lanes is None:
-            folds = _subset_folds(alt, self.space.size, self.c)
+            if self.singletons:
+                folds = alt.values
+            else:
+                every = _subset_folds(alt, self.space.size, self.c)
+                folds = [every[m] for m in self.levels]
             rank, bias = self.c.rank, self.bias
-            vals = [rank.get(folds[m], -1) if rank else folds[m] + bias for m in self.levels]
-            if min(vals) < 0 or max(vals) > self.most:
-                raise DomainMismatchError(f"alternative {alt} is outside the universe or domains")
+            if rank:
+                try:
+                    vals = [rank[f] for f in folds]
+                except KeyError as exc:
+                    raise DomainMismatchError(
+                        f"value {exc.args[0]} outside combiner universe"
+                    ) from None
+            else:
+                vals = [f + bias for f in folds]
+                if min(vals) < 0 or max(vals) > self.most:
+                    raise DomainMismatchError(
+                        f"alternative {alt} is outside the universe or domains"
+                    )
             nbytes = self.nbytes
             packed = b"".join(v.to_bytes(nbytes, "little") for v in vals)
             lanes = self.lanes[alt.values] = int.from_bytes(packed, "little")
@@ -490,6 +341,30 @@ class CompiledSpace:
         win = lanes_at_most(a, b, top).to_bytes(size, "big")[::nbytes]
         lose = lanes_at_most(b, a, top).to_bytes(size, "big")[::nbytes]
         return int(win.translate(_ABOVE_DIGITS), 2), int(lose.translate(_ABOVE_DIGITS), 2)
+
+    def row(self, s: Statement) -> tuple[int, int, bool]:
+        """``s``'s row, derived from its sides' lanes, and kept on ``s`` when
+        the space ``keeps``. A side without a value per variable is refused."""
+        n = self.space.size
+        if len(s.left.values) != n or len(s.right.values) != n:
+            raise DomainMismatchError(f"statement {s} does not have {n} values a side")
+        row = self.pair_row(self.packed(s.left), self.packed(s.right)) + (s.strict,)
+        if self.keeps:
+            _set(s, "sign_row", row)
+        return row
+
+    def rows(self, statements: Sequence[Statement], memo: dict) -> list[tuple[int, int, bool]]:
+        """The statements' rows, in order: gathered from the statements when
+        the space ``keeps`` them, else from ``memo``, a request's rows by
+        statement, and derived for the rest. A kept row shows that both
+        sides had the length they have now, so only the left side is
+        measured against the space."""
+        row = self.row
+        if self.keeps:
+            n = self.space.size
+            return [len(s.left.values) == n and s.sign_row or row(s) for s in statements]
+        get = memo.get
+        return [get(s) or memo.setdefault(s, row(s)) for s in statements]
 
     def row_language(self, check_deadline) -> tuple[tuple, tuple]:
         """The non-trivial row language (``Reasoner.nontrivial_rows``),
@@ -522,28 +397,41 @@ class CompiledSpace:
         self.language = tuple(found), tuple(map(_ENTRY_ROW, found))
 
 
-# The space compiled last. One is kept, so what outlives a request is bounded
-# by one space's language; a request over another space replaces it.
+# The canonical space and the singleton space compiled last. One of each is
+# kept, so what outlives a request is bounded by one space's language; a
+# request over another space replaces the one of its kind, and neither
+# evicts the other.
 _compiled: CompiledSpace | None = None
+_singles: CompiledSpace | None = None
 
 
 @atexit.register
 def _release() -> None:
-    """Drop the kept space at exit. Freed here, before the interpreter's
-    closing garbage collections, it costs a one-request process what
-    freeing it at the end of the request would; kept alive into them, they
-    also traverse it."""
-    global _compiled
-    _compiled = None
+    """Drop the kept spaces at exit. Freed here, before the interpreter's
+    closing garbage collections, they cost a one-request process what
+    freeing them at the end of the request would; kept alive into them,
+    they also traverse them."""
+    global _compiled, _singles
+    _compiled = _singles = None
 
 
-def compile_space(space: VariableSpace, c: Combiner) -> CompiledSpace:
-    """The compiled space for ``space``'s domains and ``c``: the one kept if
-    it matches, else a new one, which is then kept instead."""
-    global _compiled
-    cs = _compiled
-    if cs is None or cs.space.domains != space.domains or cs.c != c:
-        cs = _compiled = CompiledSpace(space, c)
+def compile_space(space: VariableSpace, c: Combiner, singletons: bool = False) -> CompiledSpace:
+    """The compiled space for ``space``'s domains and ``c``, over the
+    canonical levels or the singletons: the one of that kind kept if it
+    matches, else a new one, which is then kept instead. The same domains
+    and combiner objects match without comparing their values."""
+    global _compiled, _singles
+    cs = _singles if singletons else _compiled
+    if (
+        cs is None
+        or cs.space.domains is not space.domains and cs.space.domains != space.domains
+        or cs.c is not c and cs.c != c
+    ):
+        cs = CompiledSpace(space, c, singletons)
+        if singletons:
+            _singles = cs
+        else:
+            _compiled = cs
     return cs
 
 
@@ -551,29 +439,29 @@ class Reasoner:
     """Consistency, entailment, equivalence and triviality for one space,
     combiner, model class and set of limits: one request.
 
-    Lexicographic questions go to the lexicographic functions above. Under
-    hierarchical models a statement's *row* is the ``(win, lose, strict)``
-    that ``_greedy`` reads: the canonical levels (``_canonical_levels``) at
-    which its left side wins and those at which it loses, bit ``j`` for
-    level ``j``, and its strictness. Each alternative met is packed once
-    (``CompiledSpace.packed``) and a pair's row read off two
-    ``lanes_at_most`` calls (``CompiledSpace.pair_row``); a statement's row
-    is kept for the request once compiled (``row``). The inner questions
-    (``consistent_rows``, ``consistent_with_each``, ``entailed_by_some``,
-    ``equivalence_key``, and ``midground``'s searches) take rows;
-    ``nontrivial_rows`` gives the non-trivial part of the full language as
-    rows, and ``statement`` builds a ``Statement`` only for an entry a
-    caller keeps.
+    A statement's *row* is the ``(win, lose, strict)`` that ``_greedy``
+    reads, compiled over the model class's levels: the n singletons under
+    lexicographic models, the canonical levels under hierarchical ones
+    (``compiled``). Each question reads rows, whichever the class:
+    ``consistent`` and ``entails`` run the greedy (``_path``), and the inner
+    questions (``consistent_rows``, ``consistent_with_each``,
+    ``entailed_by_some``, ``equivalence_key``, and ``midground``'s
+    searches) take rows. ``nontrivial_rows`` gives the non-trivial part of
+    the full language as rows, and ``statement`` builds a ``Statement`` only
+    for an entry a caller keeps. Only ``is_consistent``'s witness, and the
+    caps on hierarchical spaces (``_check_cap``), depend on the class.
 
     The request's deadline (``limits.timeout_ms``) is armed once, when the
     reasoner is made, and every greedy call and ``check_deadline`` reads it,
     so the timeout binds the whole request. What depends only on the
     space's domains and the combiner (the levels, the packed lanes, the row
-    language) outlives the request: it is the ``CompiledSpace`` kept for the
-    process, fetched on first hierarchical need (``compiled``), and only the
-    last space compiled is kept (``compile_space``). The rest is per
-    request: the rows of the statements met, and ``memo``, which keeps what
-    ``midground`` settles about a profile.
+    language) outlives the request: it is a ``CompiledSpace`` kept for the
+    process, fetched on first need, and only the last canonical space and
+    the last singleton space compiled are kept (``compile_space``). The
+    rest is per request: the rows of the
+    statements met (singleton rows under a built-in combiner are kept on
+    the statements instead), and ``memo``, which keeps what ``midground``
+    settles about a profile.
     """
 
     def __init__(
@@ -598,64 +486,59 @@ class Reasoner:
             raise IndeterminateError("request timed out")
 
     def compiled(self) -> CompiledSpace:
-        """The compiled space of the reasoner's space and combiner, fetched
-        (``compile_space``) on first need and held for the request."""
+        """The compiled space the model class's rows are read from, over the
+        singleton levels under lexicographic models and the canonical ones
+        under hierarchical models, fetched (``compile_space``) on first need
+        and held for the request."""
         cs = self._cs
         if cs is None:
-            cs = self._cs = compile_space(self.space, self.c)
+            cs = self._cs = compile_space(self.space, self.c, self.model_class == "lex")
         return cs
+
+    def _check_cap(self, cap: int, what: str) -> None:
+        """Refuse a hierarchical space of more than ``cap`` variables, before
+        any of its 2^n - 1 levels is compiled; a singleton space has n."""
+        n = self.space.size
+        if n > cap and self.model_class != "lex":
+            raise CapacityError(f"{what} capped at {cap} variables, got {n}")
 
     def row(self, s) -> tuple[int, int, bool]:
         """``s``'s row: where its left side wins, where it loses, and whether
-        ``s`` is strict, compiled once per request from its sides' lanes,
-        which are packed once per compiled space. A row is its own row, so
-        each question that reads one statement's row takes the row instead."""
+        ``s`` is strict. A row is its own row, so each question that reads
+        one statement's row takes the row instead."""
         if type(s) is tuple:
             return s
-        return self._rows.get(s) or self._add_row(s)
-
-    def _add_row(self, s: Statement) -> tuple[int, int, bool]:
-        cs = self.compiled()
-        row = cs.pair_row(cs.packed(s.left), cs.packed(s.right)) + (s.strict,)
-        self._rows[s] = row
-        return row
+        return self._rows.get(s) or self.compiled().rows((s,), self._rows)[0]
 
     def rows(self, statements: Sequence[Statement]) -> list[tuple[int, int, bool]]:
-        """The statements' rows, in order."""
-        get = self._rows.get
-        return [get(s) or self._add_row(s) for s in statements]
+        """The statements' rows, in order (``CompiledSpace.rows``)."""
+        return self.compiled().rows(statements, self._rows)
 
     def classify(self, s: Statement) -> Triviality:
         """Tautology / contradiction / non-trivial, over the model class.
 
         A statement is a tautology when it holds at every model and a
-        contradiction when it holds at none. Lexicographic models only see
-        the per-variable comparison signs. Hierarchical ones see the
-        comparison of the two sides' folds on every non-empty variable subset,
-        except under the sum combiner, where subset sums inherit the signs of
-        the per-variable differences and the lexicographic verdict applies.
+        contradiction when it holds at none, read off its row
+        (``_classify_row``). Under the sum combiner subset sums inherit the
+        signs of the per-variable differences, so the row over the singleton
+        levels decides for both classes, with no cap.
         """
-        if self.model_class == "lex" or self.c.kind == "sum":
-            return classify_lex(s, self.space, self.c)
-        self.check_classify_cap()
+        if self.c.kind == "sum":
+            single = compile_space(self.space, self.c, singletons=True)
+            return self._classify_row(single.rows((s,), self._rows)[0], single)
+        self._check_cap(MAX_VARS_CLASSIFY, "generic classification")
         return self._classify_row(s)
 
-    def check_classify_cap(self) -> None:
-        """Refuse hierarchical rows beyond ``MAX_VARS_CLASSIFY`` variables."""
-        if self.space.size > MAX_VARS_CLASSIFY:
-            raise CapacityError(
-                f"generic classification capped at {MAX_VARS_CLASSIFY} variables"
-            )
-
-    def _classify_row(self, s: Statement) -> Triviality:
-        """Triviality over hierarchical models, read off the statement's row.
+    def _classify_row(self, s, cs: CompiledSpace | None = None) -> Triviality:
+        """Triviality read off the row of ``s`` (or ``s``, a row) over the
+        levels of ``cs``, by default the model class's.
 
         A one-level model decides at that level, so a strict statement holds
         at every model iff it wins at every level, and a weak one iff it
         loses at none; both hold at no model iff they hold at no level.
         """
         win, lose, strict = self.row(s)
-        everywhere = self.compiled().all_levels
+        everywhere = (cs or self.compiled()).all_levels
         holds = win if strict else everywhere & ~lose
         if holds == everywhere:
             return Triviality.TAUTOLOGY
@@ -664,26 +547,26 @@ class Reasoner:
         return Triviality.NON_TRIVIAL
 
     def nontrivial_rows(self) -> tuple[tuple, tuple]:
-        """The non-trivial hierarchical statements between two alternatives
-        of the space as entries ``(i, j, strict, row)``: ``alternatives[i]``
-        over ``alternatives[j]`` (``CompiledSpace.alternatives``), ``i`` in
-        the outer loop, then ``j``, weak before strict, and the statement's
-        row; no ``Statement`` is built. Returns the entries and, in the same
+        """The non-trivial statements between two alternatives of the space
+        as entries ``(i, j, strict, row)``: ``alternatives[i]`` over
+        ``alternatives[j]`` (``CompiledSpace.alternatives``), ``i`` in the
+        outer loop, then ``j``, weak before strict, and the statement's row;
+        no ``Statement`` is built. Returns the entries and, in the same
         order, their rows.
 
         The weak ``a >= b`` is non-trivial when ``a`` loses at some level but
         not at all, the strict ``a > b`` when it wins at some level but not
         at all (``_classify_row``; under ``sum``, whose ``classify`` reads
-        signs, a subset sum wins or loses everywhere iff every variable
-        does). Each pair is compared once: ``b`` over ``a`` wins where ``a``
-        over ``b`` loses, and ``a`` over ``a`` is trivial.
+        singleton rows, a subset sum wins or loses everywhere iff every
+        variable does). Each pair is compared once: ``b`` over ``a`` wins
+        where ``a`` over ``b`` loses, and ``a`` over ``a`` is trivial.
 
         The language is built once per compiled space, so a request over a
         space compiled before reads it. The classification cap is checked,
         and then the deadline read, before it is fetched or built; a build
         reads the deadline once per ``i``.
         """
-        self.check_classify_cap()
+        self._check_cap(MAX_VARS_CLASSIFY, "generic classification")
         self.check_deadline()
         return self.compiled().row_language(self.check_deadline)
 
@@ -694,13 +577,6 @@ class Reasoner:
         s = Statement(alternatives[i], alternatives[j], strict)
         self._rows[s] = row
         return s
-
-    def prepare(self, statements: Sequence[Statement]) -> Sequence:
-        """The statements as ``consistent_with_each`` and ``entailed_by_some``
-        take them, so that a set asked about again and again is made ready
-        once: their rows under hierarchical models, the statements
-        themselves under lexicographic ones."""
-        return statements if self.model_class == "lex" else self.rows(statements)
 
     def _pair_consistent(self, a: tuple[int, int, bool], b: tuple[int, int, bool]) -> bool:
         """Whether two rows, each of a statement consistent alone, are
@@ -716,32 +592,27 @@ class Reasoner:
         steps = a[0] | b[0] if a[2] or b[2] else self.compiled().all_levels
         return bool(steps & ~(a[1] | b[1]))
 
-    def consistent_with_each(self, s: Statement, others: Sequence) -> bool:
-        """Whether ``{s, u}`` is consistent for every ``u`` in ``others``
-        (given as ``prepare`` makes them), each consistent alone.
-
-        Under hierarchical models this is ``_pair_consistent`` on rows, with
-        no greedy. A contradiction ``s`` is consistent with nothing.
+    def consistent_with_each(self, s, others: Sequence) -> bool:
+        """Whether ``{s, u}`` is consistent for every row ``u`` in
+        ``others``, each consistent alone: ``_pair_consistent``, with no
+        greedy. ``s`` is a statement or its row; a contradiction is
+        consistent with nothing.
         """
-        if self.model_class == "lex":
-            return all(self.consistent((s, u)) for u in others)
         if self._classify_row(s) is Triviality.CONTRADICTION:
             return not others
         row = self.row(s)
         return all(self._pair_consistent(row, u) for u in others)
 
-    def entailed_by_some(self, premise_sets: Sequence[Sequence], s: Statement) -> bool:
-        """Whether some set of ``premise_sets`` (each consistent, and given as
-        ``prepare`` makes it) entails ``s``.
+    def entailed_by_some(self, premise_sets: Sequence[Sequence], s) -> bool:
+        """Whether some set of ``premise_sets`` (each consistent, and given
+        as rows) entails ``s``, a statement or its row.
 
-        Under hierarchical models a set entails ``s`` when its rows plus
-        ``s``'s complement row (``entails``) are inconsistent. For a set of
-        one statement that is ``_pair_consistent`` negated, with no greedy:
-        the complement is consistent alone unless ``s`` is a tautology, and
-        every set entails a tautology.
+        A set entails ``s`` when its rows plus ``s``'s complement row
+        (``entails``) are inconsistent. For a set of one statement that is
+        ``_pair_consistent`` negated, with no greedy: the complement is
+        consistent alone unless ``s`` is a tautology, and every set entails
+        a tautology.
         """
-        if self.model_class == "lex":
-            return any(self.entails(premises, s) for premises in premise_sets)
         if self._classify_row(s) is Triviality.TAUTOLOGY:
             return True
         neg = complement_row(self.row(s))
@@ -759,90 +630,90 @@ class Reasoner:
         repeated row changes nothing in the greedy. What leaves the process
         goes through ``is_consistent`` instead.
         """
-        if self.model_class == "lex":
-            signs, _ = sign_matrix(statements, self.c)
-            return _lex_consistent_from_signs(signs, self.deadline)[0] is not None
-        return self.consistent_rows(self.rows(statements))
+        return self.consistent_rows(self._capped_rows(statements))
 
-    def consistent_rows(self, rows: list, everything: int | None = None) -> bool:
-        """``consistent`` for statements given by their rows: hierarchical
-        ones, or any that ``search_rows`` made, with its ``everything``."""
-        return self._path(rows, everything)[0] is not None
+    def consistent_rows(self, rows: list) -> bool:
+        """``consistent`` for statements given by their rows."""
+        return self._path(rows)[0] is not None
 
-    def search_rows(self, items: Sequence) -> tuple[list[tuple[int, int, bool]], int]:
-        """The rows of statements given as ``prepare`` makes them, and every
-        step a model can take, as one mask: the canonical levels
-        (``all_levels``) under hierarchical models, every variable's lane
-        bit under lexicographic ones, whose rows are packed over the whole
-        set at once (``sign_matrix``) so that they share one lane width."""
-        if self.model_class != "lex":
-            return list(items), self.compiled().all_levels
-        signs, _ = sign_matrix(items, self.c)
-        return signs.rows, signs.lanes
+    def _capped_rows(self, statements: Sequence[Statement]) -> list[tuple[int, int, bool]]:
+        """The rows a search over ``statements`` runs on. The hierarchical
+        search cap is checked first, so a space too wide to search is
+        refused before any of it is compiled."""
+        self._check_cap(self.limits.max_vars_hier, "hierarchical search")
+        return self.rows(statements)
 
     def is_consistent(self, statements: Sequence[Statement]) -> ConsistencyResult:
         """Consistency with a constructed, re-checked witness.
 
         This is the call for answers that leave the process: ``check``, the
         public ``is_consistent*`` functions, P1 of ``check_postulates`` and
-        each ground ``construct_mgs`` returns. The witness is re-checked
-        against every statement (``models.satisfies_set``, or its lexicographic
-        twin) and a failure raises ``RuntimeError``. Inner questions that
-        only read the verdict ask ``consistent``.
-
-        Hierarchical sets are decided by the greedy below; see
-        ``is_consistent_hier`` for why it never needs to undo a level.
+        each ground ``construct_mgs`` returns. A lexicographic witness is
+        the greedy run until every row is settled, re-checked on the rows
+        (``_lex_witness_ok``); a hierarchical one is the greedy's levels,
+        re-checked statement by statement (``models.satisfies_set``). A
+        failure raises ``RuntimeError``. Inner questions that only read the
+        verdict ask ``consistent``. See ``is_consistent_hier`` for why the
+        greedy never needs to undo a level.
         """
-        if self.model_class == "lex":
-            return _is_consistent_lex(statements, self.c, self.deadline)
-        stmts = dedupe_statements(statements)
-        path, nodes = self._path(self.rows(stmts))
-        if path is None:
-            return ConsistencyResult(False, None, SearchStats(nodes, max(nodes - 1, 0)))
-        n = self.space.size
-        levels = self.compiled().levels
-        witness = HierarchicalModel(
-            tuple(
-                frozenset(v for v in range(n) if levels[bit.bit_length() - 1] >> v & 1)
-                for bit in path
+        lex = self.model_class == "lex"
+        stmts = statements if lex else dedupe_statements(statements)
+        rows = self._capped_rows(stmts)
+        steps, taken, stalled = self._path(rows, settle_weak=lex)
+        # Each class's counters, as its engine has always reported them.
+        if lex:
+            stats = SearchStats(taken, self.space.size * (taken + stalled))
+        else:
+            stats = SearchStats(taken + stalled, taken)
+        if steps is None:
+            return ConsistencyResult(False, None, stats)
+        if lex:
+            witness = LexicographicModel(tuple(bit.bit_length() - 1 for bit in steps))
+            holds = _lex_witness_ok(rows, steps)
+        else:
+            n, levels = self.space.size, self.compiled().levels
+            witness = HierarchicalModel(
+                tuple(
+                    frozenset(v for v in range(n) if levels[bit.bit_length() - 1] >> v & 1)
+                    for bit in steps
+                )
             )
-        )
-        if not satisfies_set(witness, stmts, self.c):
-            raise RuntimeError("internal error: hierarchical witness failed re-check")
-        return ConsistencyResult(True, witness, SearchStats(nodes, nodes))
+            holds = satisfies_set(witness, stmts, self.c)
+        if not holds:
+            raise RuntimeError("internal error: witness failed re-check")
+        return ConsistencyResult(True, witness, stats)
 
-    def _path(self, rows: list, everything: int | None = None) -> tuple[list[int] | None, int]:
-        """The greedy on rows: a model's steps, bits of ``everything`` (the
-        canonical levels by default), or ``None`` when inconsistent, and the
-        node count; hierarchical rows are held to the cap. With only weak
-        rows the greedy takes no step; a model needs one, and any step at
-        which nothing loses will do. Without ``settle_weak`` the greedy takes
-        the same steps, only fewer, so on lexicographic rows the verdict is
-        ``_lex_consistent_from_signs``'s."""
-        n = self.space.size
-        cap = self.limits.max_vars_hier
-        if n > cap and self.model_class != "lex":
-            raise CapacityError(
-                f"hierarchical search capped at {cap} variables, got {n}"
-            )
-        path, _, stalled = _greedy(rows, False, self.deadline)
-        if stalled:
-            return None, len(path) + 1
-        if not path:
-            safe = _lowest_safe(
-                rows, self.compiled().all_levels if everything is None else everything
-            )
-            return ([safe] if safe else None), 0
-        return path, len(path)
+    def _path(
+        self, rows: list, settle_weak: bool = False
+    ) -> tuple[list[int] | None, int, bool]:
+        """The greedy on rows: a model's steps (bits of ``all_levels``), or
+        ``None`` when the rows have no model, then the number of steps the
+        greedy took and whether it stalled.
+
+        The rows have no model iff the greedy leaves a strict row pending.
+        With only weak rows left it stops, or, with ``settle_weak``, goes on
+        while it can: the same verdict, by longer paths. A path with no step
+        is no model; any step at which nothing loses will do. The deadline
+        is read on entry, so a request whose rows are all weak, on which the
+        greedy takes no step, still stops once it has run out of time.
+        """
+        self.check_deadline()
+        path, pending, stalled = _greedy(rows, settle_weak, self.deadline)
+        if any(map(_STRICT, pending)):
+            return None, len(path), stalled
+        if path:
+            return path, len(path), stalled
+        lose = functools.reduce(operator.or_, map(_LOSE, pending), 0)
+        safe = self.compiled().all_levels & ~lose
+        return ([safe & -safe] if safe else None), 0, stalled
 
     def entails(self, premises: Sequence[Statement], s: Statement) -> bool:
         """Whether every model of ``premises`` satisfies ``s``: the premises
-        plus ``s``'s complement are inconsistent. Under hierarchical models
-        the complement is ``s``'s row read the other way round, with the
-        strictness flipped."""
-        if self.model_class == "lex":
-            return not self.consistent(tuple(premises) + (complement(s),))
-        return not self.consistent_rows(self.rows(premises) + [complement_row(self.row(s))])
+        plus ``s``'s complement are inconsistent. The complement's row is
+        ``s``'s row read the other way round, with the strictness flipped."""
+        rows = self._capped_rows((*premises, s))
+        rows[-1] = complement_row(rows[-1])
+        return not self.consistent_rows(rows)
 
     def equivalent(
         self, first: Sequence[Statement], second: Sequence[Statement]
@@ -855,22 +726,19 @@ class Reasoner:
             self.entails(b, s) for s in a
         )
 
-    def equivalence_key(self, s: Statement) -> tuple:
+    def equivalence_key(self, s) -> tuple:
         """Grouping key: non-trivial statements that hold in the same models
-        share it.
+        share it. ``s`` is a statement or its row.
 
-        Lexicographic statements key on their signs and strictness.
-        Hierarchical ones key on their row, plus their strictness when the
-        row has a tie. For non-trivial statements the key is exact. Where two
-        rows differ at a level, the one-level model at that level separates
-        the two statements, unless one wins there and the other ties and is
-        weak; then that level followed by one where the weak statement loses
-        (it loses somewhere, being no tautology) does. Equal rows with a tie
-        differ only in strictness, which the one-level model at the tie
-        shows; equal rows without one decide every model alike.
+        The key is the row, plus the strictness when the row has a tie. For
+        non-trivial statements it is exact. Where two rows differ at a level,
+        the one-level model at that level separates the two statements,
+        unless one wins there and the other ties and is weak; then that
+        level followed by one where the weak statement loses (it loses
+        somewhere, being no tautology) does. Equal rows with a tie differ
+        only in strictness, which the one-level model at the tie shows;
+        equal rows without one decide every model alike.
         """
-        if self.model_class == "lex":
-            return self.c.signs(s), s.strict
         win, lose, strict = self.row(s)
         tie = (win | lose) != self.compiled().all_levels
         return win, lose, strict if tie else None
@@ -939,3 +807,7 @@ def equivalent(
     limits: Limits = DEFAULT_LIMITS,
 ) -> bool:
     return Reasoner(space, c, model_class, limits).equivalent(first, second)
+
+
+# Kept for the benchmark's tracer, with ``sign_matrix`` and ``_lex_greedy``.
+_lex_consistent_from_signs = Reasoner.consistent_rows

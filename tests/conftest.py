@@ -47,12 +47,11 @@ def stmt(left, right, strict=True) -> Statement:
     return Statement(Alternative(tuple(left)), Alternative(tuple(right)), strict)
 
 
-def lane_signs(signs, i: int) -> tuple[int, ...]:
-    """Statement ``i``'s per-variable signs, read off the top bit of each
-    lane of its row in ``reasoner.sign_matrix``'s result."""
-    win, lose, _ = signs.rows[i]
-    tops = [(v + 1) * signs.width - 1 for v in range(signs.nvars)]
-    return tuple((win >> t & 1) - (lose >> t & 1) for t in tops)
+def row_signs(row: tuple, n: int) -> tuple[int, ...]:
+    """A statement's per-variable signs, read off its row over the singleton
+    levels: bit ``v`` of the win and lose masks for variable ``v``."""
+    win, lose, _ = row
+    return tuple((win >> v & 1) - (lose >> v & 1) for v in range(n))
 
 
 # Sign + 1 (0, 1, 2 for lose, tie, win) to the binary digit of a win or a

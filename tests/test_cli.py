@@ -226,7 +226,7 @@ stakeholder p1 { (0,0,1,0) >= (1,0,0,1) }
 
 
 def test_mg_construct_lexicographic_document_that_hung(tmp_path, capsys):
-    """162 statements, a pool of 37 in 37 classes: one ground of 32. The
+    """162 statements, a pool of 37 in 32 classes: one ground of 32. The
     request takes about 10 ms; its timeout is far above that, so a hang
     fails fast."""
     path = tmp_path / "lex_hang.pref"

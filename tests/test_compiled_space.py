@@ -1,12 +1,13 @@
 """The compiled space outlives a request, and only its answers.
 
 A hierarchical ``Reasoner`` reads its levels, packed lanes and row language
-from the ``reasoner.CompiledSpace`` kept for the process, keyed by the
-space's domains and the combiner; one space is kept at a time. These tests
-check that requests over one space share a compile, that another space
-replaces it, that a warm answer is the cold one, byte for byte, that caps
-and the deadline bind on a warm space as on a cold one, and that
-lexicographic requests neither build nor evict it.
+from the canonical ``reasoner.CompiledSpace`` kept for the process, keyed by
+the space's domains and the combiner; one canonical space is kept at a
+time. These tests check that requests over one space share a compile, that
+another space replaces it, that a warm answer is the cold one, byte for
+byte, that caps and the deadline bind on a warm space as on a cold one, and
+that lexicographic requests, which compile singleton levels, neither build
+a canonical space nor evict the one kept.
 """
 
 import contextlib
@@ -47,15 +48,16 @@ stakeholder {q} {{
 
 @pytest.fixture
 def cold(monkeypatch):
-    """An empty memo for the test, and a log of the spaces compiled and the
-    row languages built; the memo is put back afterwards."""
+    """An empty memo for the test, and a log of the canonical spaces
+    compiled and the row languages built; the memo is put back afterwards."""
     monkeypatch.setattr(reasoner, "_compiled", None)
     made, built = [], []
     init, build = CompiledSpace.__init__, CompiledSpace._build_language
 
-    def counting_init(self, *args):
-        made.append(self)
-        init(self, *args)
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if not self.singletons:
+            made.append(self)
 
     def counting_build(self, *args):
         built.append(self)
@@ -173,6 +175,9 @@ def test_warm_answers_equal_cold_processes():
     ("nonexistence.pref",
      (["mg-exists"], ["mg-construct"], ["oracle", "mgs", "--language", "candidates"])),
     ("nonuniqueness.pref", (["mg-exists"], ["mg-construct", "--verify"], ["check"])),
+    # every statement weak: the greedy takes no step, and the check reads
+    # the deadline on entry
+    ("nonexistence.pref", (["check"],)),
 ])
 def test_budgets_bind_on_a_warm_space(name, commands):
     """Right after the same space was answered in this process, a zero
@@ -228,19 +233,28 @@ stakeholder b {
 """
 
 
-def test_lexicographic_requests_leave_the_memo_alone(cold):
-    """Lexicographic existence, consistency and ``check`` neither compile a
-    space nor evict the one kept."""
+def test_lexicographic_requests_leave_the_memo_alone(cold, monkeypatch):
+    """Lexicographic existence, consistency, ``check`` and construction
+    neither compile a canonical space, nor fold a subset of variables, nor
+    evict the canonical space kept."""
     made, built = cold
     hier_candidates(SP2, Combiner("max"))
     kept = reasoner._compiled
+
+    def refuse(*args):
+        raise AssertionError("subset folds on a lexicographic request")
+
+    monkeypatch.setattr(reasoner, "_subset_folds", refuse)
     profile = dsl.parse_profile(LEX_DOC)
     assert exists_mg_lex(profile).exists
     union = profile.union_statements()
     assert not is_consistent_lex(union, profile.space, profile.combiner).consistent
+    wide = VariableSpace(("x", "y"), (tuple(range(-5, 300)),) * 2)
+    assert is_consistent_lex((stmt((-5, 299), (200, 0)),), wide, Combiner("max")).consistent
     code, out, _ = _cli(["check", "-", "--json"], LEX_DOC)
     assert code == 0 and json.loads(out)["verdict"] == "inconsistent"
     assert _cli(["mg-exists", "-", "--json"], LEX_DOC)[0] == 0
+    assert _cli(["mg-construct", "-", "--verify", "--json"], LEX_DOC)[0] == 0
     assert reasoner._compiled is kept and len(made) == len(built) == 1
 
 
@@ -259,3 +273,22 @@ def test_a_statement_outside_the_domains_is_refused_on_a_warm_space(cold):
     with pytest.raises(DomainMismatchError):
         r.row(stmt((9, 0), (0, 1)))
     assert kept.lanes == lanes
+
+
+def test_the_search_cap_binds_before_any_level_is_compiled(monkeypatch):
+    """``check`` on a hierarchical document wider than ``max_vars_hier``
+    exits 3 on the cap without compiling the 2^n - 1 canonical levels."""
+    def refuse(n):
+        raise AssertionError("canonical levels compiled for %d variables" % n)
+
+    monkeypatch.setattr(reasoner, "_canonical_levels", refuse)
+    names = ", ".join("v%d:0..1" % i for i in range(22))
+    ones, zeros = ",".join("1" * 22), ",".join("0" * 22)
+    doc = (
+        "vars %s\ncombiner max\nmodels hierarchical\n"
+        "stakeholder a { (%s) > (%s) }\nstakeholder b { (%s) > (%s) }\n"
+        % (names, ones, zeros, zeros, ones)
+    )
+    code, out, err = _cli(["check", "-", "--json"], doc)
+    assert (code, out) == (3, "")
+    assert "hierarchical search capped at 14 variables" in err

@@ -57,7 +57,7 @@ SP3 = VariableSpace.binary(("x", "y", "z"))
 
 def pool_of(profile, lang, r):
     """The statements of ``lang`` that ``_candidate_pool`` keeps, in order."""
-    return [lang[k] for k, _ in _candidate_pool(profile, r.prepare(lang), r)]
+    return [lang[k] for k, _ in _candidate_pool(profile, r.rows(lang), r)]
 
 
 def lex_profile(*stakeholder_sets, space=SP2, c=SUM):
@@ -209,10 +209,12 @@ def test_row_built_candidates_match_the_classified_full_language(kind):
 @st.composite
 def _p3_cases(draw):
     """A space of 1-3 variables over 0..1 or 0..2, a built-in or tie
-    combiner, a union of statements each consistent alone (as
-    ``_require_nontrivial`` leaves it), and a candidate as drawn, a
+    combiner, a model class, a union of statements each consistent alone
+    (as ``_require_nontrivial`` leaves it), and a candidate as drawn, a
     tautology (a weak ``a >= a``) or a contradiction (a strict ``a > a``),
-    as ``check_postulates`` can be given."""
+    as ``check_postulates`` can be given. Both classes run the same pair
+    tests, on rows over their own levels."""
+    mc = draw(st.sampled_from(("hier", "lex")))
     n = draw(st.integers(1, 3))
     dom = tuple(range(draw(st.integers(2, 3))))
     sp = VariableSpace(tuple("v%d" % i for i in range(n)), (dom,) * n)
@@ -221,7 +223,7 @@ def _p3_cases(draw):
     statement = st.builds(Statement, side, side, st.booleans())
     union = [
         u for u in draw(st.lists(statement, min_size=1, max_size=4))
-        if brute_consistent((u,), sp, c, "hier")
+        if brute_consistent((u,), sp, c, mc)
     ]
     assume(union)
     shape = draw(st.sampled_from(("drawn", "tautology", "contradiction")))
@@ -230,17 +232,17 @@ def _p3_cases(draw):
     else:
         a = draw(side)
         s = Statement(a, a, shape == "contradiction")
-    return sp, c, tuple(union), s
+    return sp, c, mc, tuple(union), s
 
 
 @settings(max_examples=400)
 @given(case=_p3_cases())
 def test_p3_pair_test_matches_greedy_and_oracle(case):
-    sp, c, union, s = case
-    r = Reasoner(sp, c)
-    verdict = r.consistent_with_each(s, r.prepare(union))
+    sp, c, mc, union, s = case
+    r = Reasoner(sp, c, mc)
+    verdict = r.consistent_with_each(s, r.rows(union))
     assert verdict == all(r.consistent((s, u)) for u in union)
-    assert verdict == all(brute_consistent((s, u), sp, c, "hier") for u in union)
+    assert verdict == all(brute_consistent((s, u), sp, c, mc) for u in union)
 
 
 @settings(max_examples=400)
@@ -249,14 +251,14 @@ def test_p4_pair_test_for_one_statement_stakeholders(case):
     # Each union statement as a one-statement stakeholder: P4's pair test on
     # the complement row against the greedy and the oracle, tautology and
     # contradiction candidates included.
-    sp, c, union, s = case
-    r = Reasoner(sp, c)
+    sp, c, mc, union, s = case
+    r = Reasoner(sp, c, mc)
     for u in union:
-        verdict = r.entailed_by_some([r.prepare((u,))], s)
+        verdict = r.entailed_by_some([r.rows((u,))], s)
         assert verdict == r.entails((u,), s)
-        assert verdict == brute_entails((u,), s, sp, c, "hier")
-    assert r.entailed_by_some([r.prepare((u,)) for u in union], s) == any(
-        brute_entails((u,), s, sp, c, "hier") for u in union
+        assert verdict == brute_entails((u,), s, sp, c, mc)
+    assert r.entailed_by_some([r.rows((u,)) for u in union], s) == any(
+        brute_entails((u,), s, sp, c, mc) for u in union
     )
 
 

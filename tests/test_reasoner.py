@@ -32,7 +32,6 @@ from concord.reasoner import (
     DEFAULT_LIMITS,
     Limits,
     Reasoner,
-    _lex_consistent_from_signs,
     _lex_witness_ok,
     classify,
     classify_lex,
@@ -41,10 +40,9 @@ from concord.reasoner import (
     is_consistent,
     is_consistent_hier,
     is_consistent_lex,
-    sign_matrix,
 )
 from concord.gadgets import nonuniqueness_fixture
-from conftest import alt, lane_signs, random_statement, reference_row, stmt
+from conftest import alt, random_statement, reference_row, row_signs, stmt
 
 AND = Combiner("and")
 SUM = Combiner("sum")
@@ -228,22 +226,27 @@ UNSORTED = Combiner("table", table=((7, 7, 7), (7, 2, 7), (2, 7, 7), (2, 2, 2)),
                     universe=(7, 2))
 
 
-def test_sign_matrix_table_ranks():
-    signs, strict = sign_matrix(
-        (stmt((2,), (7,)), stmt((7,), (2,), strict=False)), UNSORTED
+def _space(n: int, dom) -> VariableSpace:
+    return VariableSpace(tuple("v%d" % i for i in range(n)), (tuple(dom),) * n)
+
+
+def test_singleton_rows_read_table_ranks():
+    sp = _space(1, (2, 7))
+    rows = Reasoner(sp, UNSORTED, "lex").rows(
+        (stmt((2,), (7,)), stmt((7,), (2,), strict=False))
     )
-    assert [lane_signs(signs, i) for i in range(2)] == [(1,), (-1,)]
-    assert strict == (True, False)
+    # 2 ranks above 7 in the table's universe
+    assert rows == [(1, 0, True), (0, 1, False)]
 
 
-def test_signs_binarize_and_sign_matrix_agree_on_unsorted_universe():
+def test_signs_binarize_and_singleton_rows_agree_on_unsorted_universe():
     c = UNSORTED
     sides = list(itertools.product((7, 2), repeat=3))
     statements = [stmt(a, b, strict=bool(i % 2))
                   for i, (a, b) in enumerate(itertools.product(sides, sides))]
-    matrix, _ = sign_matrix(statements, c)
-    for i, s in enumerate(statements):
-        row = list(lane_signs(matrix, i))
+    rows = Reasoner(_space(3, (2, 7)), c, "lex").rows(statements)
+    for s, r in zip(statements, rows):
+        row = list(row_signs(r, 3))
         signs = c.signs(s)
         flat = binarize(s, c)
         assert list(signs) == row
@@ -253,66 +256,68 @@ def test_signs_binarize_and_sign_matrix_agree_on_unsorted_universe():
 
 
 @pytest.mark.parametrize(
-    "values,combiner,width",
+    "values,combiner,nbytes",
     [
-        (range(2), SUM, 8),
-        (range(128), SUM, 8),
-        (range(-3, 3), SUM, 8),
-        (range(120, 136), SUM, 8),
-        (range(300), SUM, 16),
-        ((-(10**30), 0, 10**30), Combiner("max"), 8),
-        (range(300), Combiner.tie_over(range(300)), 16),
-        ((7, 2), UNSORTED, 8),
+        (range(2), SUM, 1),
+        (range(128), SUM, 1),
+        (range(-3, 3), SUM, 1),
+        (range(120, 136), SUM, 2),
+        (range(300), SUM, 2),
+        ((-(10**30), 0, 10**30), Combiner("max"), 13),
+        (range(300), Combiner.tie_over(range(300)), 2),
+        ((2, 7), UNSORTED, 1),
     ],
     ids=["0..1", "0..127", "-3..2", "120..135", "300-values", "huge", "tie_over-300",
          "unsorted-table"],
 )
-def test_sign_rows_read_back_as_combiner_signs(values, combiner, width):
+def test_singleton_rows_read_back_as_combiner_signs(values, combiner, nbytes):
     rng = random.Random(11)
     values = list(values)
-    # Every value appears, so the ranks span them all.
+    # Every value appears, so the lanes must hold them all.
     lefts = [tuple(values[(i + j) % len(values)] for j in range(4))
              for i in range(len(values))]
     statements = [stmt(a, tuple(rng.choice(values) for _ in a), strict=rng.random() < 0.5)
                   for a in lefts]
-    signs, strict = sign_matrix(statements, combiner)
-    assert signs.width == width and signs.size == 4 * len(statements)
-    assert strict == tuple(s.strict for s in statements)
-    for i, s in enumerate(statements):
-        assert lane_signs(signs, i) == combiner.signs(s), s
+    r = Reasoner(_space(4, sorted(values)), combiner, "lex")
+    rows = r.rows(statements)
+    assert r.compiled().nbytes == nbytes and len(r.compiled().levels) == 4
+    assert [row[2] for row in rows] == [s.strict for s in statements]
+    for s, row in zip(statements, rows):
+        assert row_signs(row, 4) == combiner.signs(s), s
 
 
-def test_sign_rows_mix_packed_and_unpacked_sides():
-    # Some sides carry lanes (values in 0..127) and some do not: the whole
-    # list goes to the rank path, and its signs stay the combiner's.
+def test_a_kept_row_is_the_same_from_any_lanes():
+    # Sides in 0..127 over a space of 0..127 read their own bytes as lanes;
+    # over a space reaching below 0 and above 127 the same sides are packed
+    # biased, in two-byte lanes. The rows, kept on the statements, are the
+    # same either way, so a row kept under one space serves another.
     rng = random.Random(5)
-    values = (-1, 0, 1, 5, 127, 128, 300)
+    wide = (-1, 0, 1, 5, 127, 128, 300)
     statements = [
-        stmt(tuple(rng.choice(values) for _ in range(3)),
-             tuple(rng.choice(values[1:5]) for _ in range(3)),
+        stmt(tuple(rng.choice(wide) for _ in range(3)),
+             tuple(rng.choice(wide[1:5]) for _ in range(3)),
              strict=rng.random() < 0.5)
         for _ in range(40)
     ] + [stmt((0, 1, 2), (2, 1, 0)), stmt((127, 0, 3), (0, 127, 3), strict=False)]
-    lanes = [a.lanes is None for s in statements for a in (s.left, s.right)]
-    assert any(lanes) and not all(lanes)
     for c in (SUM, Combiner("max")):
-        signs, _ = sign_matrix(statements, c)
-        assert signs.width == 8
-        for i, s in enumerate(statements):
-            assert lane_signs(signs, i) == c.signs(s), s
-    # Every side packed: the lanes are read as built.
-    packed = statements[-2:]
-    assert sign_matrix(packed, SUM)[0].rows == [
-        (0b10000000 << 16, 0b10000000, True),
-        (0b10000000, 0b10000000 << 8, False),
-    ]
+        r = Reasoner(VariableSpace(("x", "y", "z"), ((-1,) + tuple(range(301)),) * 3), c, "lex")
+        assert r.compiled().nbytes == 2 and not r.compiled().bytewise
+        for s, row in zip(statements, r.rows(statements)):
+            assert row_signs(row, 3) == c.signs(s), s
+    own = statements[-2:]
+    kept = [s.sign_row for s in own]
+    for s in own:
+        object.__setattr__(s, "sign_row", None)
+    r = Reasoner(_space(3, range(128)), SUM, "lex")
+    assert r.compiled().bytewise
+    assert r.rows(own) == kept == [(0b100, 0b001, True), (0b001, 0b010, False)]
 
 
-def test_sign_rows_refuse_values_they_cannot_place():
+def test_singleton_rows_refuse_values_they_cannot_place():
     # 9 is in the space but outside the combiner's universe
     sp = VariableSpace(("x", "y"), ((2, 7, 9), (2, 7)))
     bad = (stmt((2, 7), (7, 2)), stmt((9, 2), (7, 7)))
-    for call in (lambda: sign_matrix(bad, UNSORTED),
+    for call in (lambda: Reasoner(sp, UNSORTED, "lex").rows(bad),
                  lambda: is_consistent_lex(bad, sp, UNSORTED),
                  lambda: UNSORTED.signs(bad[1])):
         with pytest.raises(DomainMismatchError, match="outside combiner universe"):
@@ -320,38 +325,80 @@ def test_sign_rows_refuse_values_they_cannot_place():
     profile = Profile(sp, UNSORTED, "lex", (Stakeholder("a", bad),))
     with pytest.raises(DomainMismatchError, match="outside combiner universe"):
         exists_mg_lex(profile)
-    # sides of another length than the first statement's
-    with pytest.raises(DomainMismatchError, match="values a side"):
-        sign_matrix((stmt((0, 1), (1, 0)), stmt((0, 1, 1), (1, 0))), SUM)
+    # a value below what the lanes hold
+    with pytest.raises(DomainMismatchError, match="outside the universe or domains"):
+        is_consistent_lex((stmt((-1, 0), (0, 1)),), SP2, SUM)
+
+
+@pytest.mark.parametrize("fn", [is_consistent_hier, is_consistent_lex])
+def test_sides_of_the_wrong_length_are_refused(fn):
+    short = stmt((1,), (0,))
+    long = stmt((1, 0, 1), (0, 1, 0))
+    ok = stmt((1, 0), (0, 1))
+    for statements in ((short,), (long,), (ok, short), (ok, long), (stmt((1, 0), (0,)),)):
+        with pytest.raises(DomainMismatchError, match="values a side"):
+            fn(statements, SP2, SUM)
 
 
 @given(st.data())
 @settings(max_examples=200)
-def test_sign_matrix_reads_kept_rows_as_it_derives_them(data):
+def test_singleton_rows_are_kept_and_read_back(data):
     # Values 2 and 7 order one way under SUM and the other under UNSORTED,
     # so a kept row read on the table path would flip every sign it has.
     n = data.draw(st.integers(1, 4))
+    sp = _space(n, (2, 7))
     side = st.tuples(*[st.sampled_from((2, 7))] * n)
     drawn = data.draw(st.lists(st.tuples(side, side, st.booleans()), min_size=1, max_size=8))
     statements = [stmt(a, b, strict) for a, b, strict in drawn]
     order = data.draw(st.lists(st.integers(0, len(statements) - 1), min_size=1, max_size=16))
     listed = [statements[i] for i in order]  # duplicates included
+
+    def rows(stmts, c=SUM):
+        return Reasoner(sp, c, "lex").rows(stmts)
+
     # All fresh: rows derived from copies no call has seen.
-    fresh, strict = sign_matrix([stmt(*drawn[i]) for i in order], SUM)
-    assert [lane_signs(fresh, i) for i in range(len(listed))] == [SUM.signs(s) for s in listed]
-    assert strict == tuple(s.strict for s in listed)
+    fresh = rows([stmt(*drawn[i]) for i in order])
+    assert [row_signs(r, n) for r in fresh] == [SUM.signs(s) for s in listed]
+    assert [r[2] for r in fresh] == [s.strict for s in listed]
     # Mixed: some statements seen before, the rest fresh.
-    seen = data.draw(st.lists(st.sampled_from(statements), unique=True))
-    sign_matrix(seen, SUM)
-    assert sign_matrix(listed, SUM) == (fresh, strict)
+    rows(data.draw(st.lists(st.sampled_from(statements), unique=True)))
+    assert rows(listed) == fresh
     # All seen before: every row is gathered.
     assert all(s.sign_row is not None for s in listed)
-    assert sign_matrix(listed, SUM) == (fresh, strict)
+    assert rows(listed) == fresh
     # The table path never reads a kept row.
-    table, _ = sign_matrix(listed, UNSORTED)
-    assert [lane_signs(table, i) for i in range(len(listed))] == [
+    assert [row_signs(r, n) for r in rows(listed, UNSORTED)] == [
         UNSORTED.signs(s) for s in listed
     ]
+
+
+@st.composite
+def _singleton_cases(draw):
+    """A space of 1-4 variables with domains reaching below 0 and above 127,
+    a built-in combiner or a tie over the domains' values, and a statement
+    over the space."""
+    n = draw(st.integers(1, 4))
+    values = st.sampled_from((-300, -2, -1, 0, 1, 2, 3, 127, 128, 300))
+    domains = tuple(
+        tuple(sorted(draw(st.lists(values, min_size=2, max_size=4, unique=True))))
+        for _ in range(n)
+    )
+    sp = VariableSpace(tuple("v%d" % i for i in range(n)), domains)
+    kind = draw(st.sampled_from(BUILTIN_KINDS + ("tie",)))
+    c = Combiner.tie_over(set().union(*domains)) if kind == "tie" else Combiner(kind)
+    side = st.builds(Alternative, st.tuples(*[st.sampled_from(d) for d in domains]))
+    return sp, c, draw(st.builds(Statement, side, side, st.booleans()))
+
+
+@settings(max_examples=300)
+@given(case=_singleton_cases())
+def test_singleton_rows_are_the_low_bits_of_hierarchical_rows(case):
+    # The singletons are the first n canonical levels, so a statement's
+    # lexicographic row is its hierarchical row cut to n bits.
+    sp, c, s = case
+    win, lose, strict = reference_row(s, sp, c)
+    low = (1 << sp.size) - 1
+    assert Reasoner(sp, c, "lex").row(s) == (win & low, lose & low, strict)
 
 
 @given(st.data())
@@ -364,7 +411,8 @@ def test_lex_witness_check_is_satisfaction(data):
     drawn = data.draw(st.lists(st.tuples(side, side, st.booleans()), min_size=1, max_size=8))
     statements = [stmt(a, b, strict) for a, b, strict in drawn]
     variables = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
-    assert _lex_witness_ok(sign_matrix(statements, c)[0], variables) == satisfies_set(
+    rows = Reasoner(_space(n, (2, 7)), c, "lex").rows(statements)
+    assert _lex_witness_ok(rows, [1 << v for v in variables]) == satisfies_set(
         LexicographicModel(tuple(variables)), statements, c
     )
 
@@ -389,18 +437,20 @@ def test_lex_consistency_ignores_duplicates():
 
 def test_row_verdict_is_the_lexicographic_verdict():
     """``Reasoner.consistent_rows`` stops the greedy once no strict row is
-    pending; on lexicographic rows and their lanes its verdict is still
-    ``_lex_consistent_from_signs``'s."""
+    pending; on lexicographic rows its verdict is still that of the greedy
+    run until every row is settled, which builds the witness, and the
+    oracle's."""
     rng = random.Random(15)
     verdicts = set()
     for _ in range(400):
         n = rng.randint(1, 4)
         sp = VariableSpace(tuple("v%d" % i for i in range(n)), ((0, 1, 2),) * n)
         statements = [random_statement(rng, sp) for _ in range(rng.randint(1, 6))]
-        signs, _ = sign_matrix(statements, SUM)
-        want = _lex_consistent_from_signs(signs)[0] is not None
-        got = Reasoner(sp, SUM, "lex").consistent_rows(signs.rows, signs.lanes)
-        assert got == want, statements
+        r = Reasoner(sp, SUM, "lex")
+        rows = r.rows(statements)
+        want = r._path(rows, settle_weak=True)[0] is not None
+        assert r.consistent_rows(rows) == want, statements
+        assert brute_consistent(statements, sp, SUM, "lex") == want, statements
         verdicts.add(want)
     assert verdicts == {True, False}
 

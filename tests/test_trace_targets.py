@@ -13,12 +13,14 @@ from pathlib import Path
 
 from concord.domain import Combiner, VariableSpace
 from concord.reasoner import (
+    Reasoner,
     _canonical_levels,
+    _lex_consistent_from_signs,
     _lex_greedy,
     is_consistent_hier,
     sign_matrix,
 )
-from conftest import lane_signs, stmt
+from conftest import row_signs, stmt
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -46,13 +48,14 @@ def test_traced_return_shapes():
     # sign_matrix -> (signs, strict); the tracer counts signs cells,
     # statements x variables.
     statements = (stmt((1, 0), (0, 1)), stmt((0, 0), (0, 1), strict=False))
-    signs, strict = sign_matrix(statements, Combiner("sum"))
-    assert signs.size == 2 * 2 and strict == (True, False)
-    assert [lane_signs(signs, i) for i in range(2)] == [(1, -1), (0, -1)]
-    # _lex_greedy's item 2 is the node count: one variable chosen per node.
-    chosen, _pending, nodes, _tried = _lex_greedy(signs)
-    assert isinstance(nodes, int) and nodes == len(chosen)
     space = VariableSpace.binary(("x", "y"))
+    signs, strict = sign_matrix(statements, space, Combiner("sum"))
+    assert signs.size == 2 * 2 and strict == (True, False)
+    assert [row_signs(row, 2) for row in signs.rows] == [(1, -1), (0, -1)]
+    # _lex_greedy's item 2 is the node count: one variable chosen per node.
+    chosen, _pending, nodes, _stalled = _lex_greedy(signs.rows)
+    assert isinstance(nodes, int) and nodes == len(chosen)
+    assert _lex_consistent_from_signs(Reasoner(space, Combiner("sum"), "lex"), signs.rows)
     res = is_consistent_hier(statements, space, Combiner("sum"))
     assert isinstance(res.stats.nodes, int) and isinstance(res.stats.levels_tried, int)
 
