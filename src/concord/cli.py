@@ -8,6 +8,11 @@ object with the fixed keys ``command``, ``verdict``, ``witnesses``,
 Exit codes: 0 for a computed answer (whatever it is), 2 for bad input
 (malformed document, unknown option, unreadable file), 3 when a size cap or
 timeout stopped the computation.
+
+The argument parser is built once per process. A known subcommand's parser
+reads the rest of the command line directly; anything else (no command, an
+unknown one, a top-level flag, arguments left over) goes through the
+top-level parser, so every usage and error message is argparse's own.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import sys
 from typing import Sequence
 
 from . import dsl, midground
-from .domain import Profile, Statement, Triviality
+from .domain import Alternative, Profile, Statement
 from .errors import (
     CapacityError,
     ConcordError,
@@ -126,6 +131,14 @@ def _verdict_word(consistent: bool) -> str:
     return "consistent" if consistent else "inconsistent"
 
 
+class _Shown(dict):
+    """Alternatives to their text, each rendered on its first lookup."""
+
+    def __missing__(self, alt: Alternative) -> str:
+        text = self[alt] = str(alt)
+        return text
+
+
 def _emit_grounds(
     args: argparse.Namespace,
     command: str,
@@ -133,8 +146,11 @@ def _emit_grounds(
     stats: dict,
     postulates: dict | None = None,
 ) -> int:
-    """Report middle grounds, with each ground's postulate verdicts if given."""
-    rendered = [[str(s) for s in ground] for ground in grounds]
+    """Report middle grounds, with each ground's postulate verdicts if given.
+    Each distinct alternative is rendered once, however many statements
+    share it."""
+    side = _Shown().__getitem__
+    rendered = [[s.render(side) for s in ground] for ground in grounds]
     verdict = "exists" if rendered else "none"
     lines = [verdict, "grounds: %d" % len(rendered)]
     for i, ground in enumerate(rendered):
@@ -306,6 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reason about multi-stakeholder comparative preferences.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices  # name -> subcommand parser, for _parse_argv
 
     p = subs.add_parser("check", help="consistency of each stakeholder and the union")
     _add_common(p)
@@ -357,10 +374,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parse_argv(argv: Sequence[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with the same result, output and
+    exit. A known subcommand's parser reads the rest of ``argv`` directly, as
+    the top-level parser would hand it on; anything else, and a rest with
+    arguments left over, goes through the top-level parser, whose messages
+    are then the ones printed."""
     parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code if code == 0 else 2

@@ -410,8 +410,12 @@ class Statement(Frozen):
         return self._hash
 
     def __str__(self) -> str:
+        return self.render(str)
+
+    def render(self, side: Callable[[Alternative], str]) -> str:
+        """The statement as text, each side as ``side`` writes it."""
         op = ">" if self.strict else ">="
-        return f"{self.left} {op} {self.right}"
+        return f"{side(self.left)} {op} {side(self.right)}"
 
 
 def complement(s: Statement) -> Statement:

@@ -23,21 +23,32 @@ plus ``tie`` for the table combiner in which every pairwise combination
 lands on a fresh value above the declared domains (so multi-variable
 levels always tie).
 
-The scanner is one pass of one regular expression. Tokens are plain
-``(kind, text, offset)`` tuples; whitespace and comments are dropped. A
-statement whose two tuples hold only digits, signs, commas and whitespace is
-one ``stmt`` token that carries its two sides as ``Alternative``s, built as
-it is scanned: a body of single ASCII digits between commas, the common case,
-is decoded in one step (the digits sliced out and ``bytes.translate``d to
-their values, which are also its packed lanes), and any other body through
-``int()``. One that does not decode is scanned again in place past its
-``(``, by the same expression, into element tokens that the parser reads one
-by one, as it reads any other tuple, so errors name the element at fault.
-The parser range-checks each side on its lanes and makes the node's
-``Statement`` from the two, once: ``to_profile`` hands those statements to
-the ``Profile``, whose own range check reads the same lanes. Line and column
-are worked out from a token's offset only when a node's span or an error
-needs them, counting newlines forward from the last position asked for.
+The scanner is one pass of one regular expression, after one match for the
+header. Tokens are plain ``(kind, text, offset)`` tuples; whitespace and
+comments are dropped. A header spelled as ``render`` writes it (``vars``
+and its ``name:lo..hi`` declarations joined by ``", "``, then ``combiner W``
+and ``models W``, one to a line, CRLF ends allowed) is one ``head`` token
+that carries its declarations, each name with its offset for the span, if
+its words, ranges and names pass the parser's checks. Any other header is
+scanned into element tokens, which the parser reads one by one and which
+raise the errors. A statement whose two tuples hold only digits, signs,
+commas and whitespace is one ``stmt`` token that carries its two sides as
+``Alternative``s, built as it is scanned: a body of single ASCII digits
+between commas, the common case, is decoded in one step (the digits sliced
+out and ``bytes.translate``d to their values, which are also its packed
+lanes), and any other body through ``int()``. One that does not decode is
+scanned again in place past its ``(``, by the same expression, into element
+tokens that the parser reads one by one, as it reads any other tuple, so
+errors name the element at fault. The parser range-checks each side on its
+lanes and makes the node's ``Statement`` from the two, once: ``to_profile``
+hands those statements to the ``Profile``, whose own range check reads the
+same lanes. Line and column are worked out from a token's offset only when a
+node's span or an error needs them, counting newlines forward from the last
+position asked for.
+
+``to_profile`` keeps the last space and combiner it made, for the process:
+a document with the same ranges and combiner word, whatever its variables
+are called, gets the same domains tuple and ``Combiner``.
 """
 
 from __future__ import annotations
@@ -184,18 +195,28 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# The header as ``render`` writes it: taken whole, as one "head" token, by
+# ``_header``. Any other spelling is read element by element.
+_HEAD_RE = re.compile(
+    r"vars ((?:[A-Za-z_]\w*:-?\d+\.\.-?\d+, )*[A-Za-z_]\w*:-?\d+\.\.-?\d+)\r?\n"
+    r"combiner (\w+)\r?\nmodels (\w+)\r?\n",
+    re.ASCII,
+)
+
 # Digit bytes to their values, for ``bytes.translate``.
 _DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
-# A token is (kind, text, offset): kind is "stmt", "nl", "dots", "ge", "int",
-# "name", "sym", "bad" or "eof"; offset indexes the document text. A "stmt"
-# token goes on with its left and right ``Alternative`` and its strictness.
+# A token is (kind, text, offset): kind is "head", "stmt", "nl", "dots", "ge",
+# "int", "name", "sym", "bad" or "eof"; offset indexes the document text. A
+# "stmt" token goes on with its left and right ``Alternative`` and its
+# strictness, a "head" token with what ``_header`` gives it.
 _Token = tuple
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    head = _header(text)
+    tokens = [] if head is None else [head]
+    for m in _TOKEN_RE.finditer(text, 0 if head is None else len(head[1])):
         kind = m.lastgroup
         if kind == "stmt":
             left, op, right = m.group("left", "op", "right")
@@ -208,6 +229,33 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append((kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _header(text: str) -> _Token | None:
+    """The header that starts ``text`` as one "head" token, or ``None`` when
+    ``_HEAD_RE`` does not match it or it would fail a check (an unknown
+    word, a range of fewer than two values, an integer too long for
+    ``int()``, a name declared twice): its element tokens then raise the
+    error, as they always have. The token goes on with its declarations,
+    each (name token, lo, hi), and its combiner and models words."""
+    m = _HEAD_RE.match(text)
+    if m is None or m[2] not in COMBINER_WORDS or m[3] not in MODEL_WORDS:
+        return None
+    decls, offset = [], len("vars ")
+    for decl in m[1].split(", "):
+        name, _, bounds = decl.partition(":")
+        lo, _, hi = bounds.partition("..")
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:  # more digits than int() converts
+            return None
+        if lo >= hi:
+            return None
+        decls.append((("name", name, offset), lo, hi))
+        offset += len(decl) + len(", ")
+    if len({name[1] for name, _, _ in decls}) < len(decls):
+        return None
+    return ("head", m[0], 0, tuple(decls), m[2], m[3])
 
 
 def _decode(left: str, right: str) -> tuple[Alternative, Alternative] | None:
@@ -247,10 +295,11 @@ def _rescan(text: str, start: int, end: int) -> list[_Token]:
 
 
 def _shown(tok: _Token) -> str:
-    """How an unexpected token reads in a message; a statement shows its '('."""
+    """How an unexpected token reads in a message; a statement shows its '(',
+    a header its 'vars'."""
     if tok[0] == "eof":
         return "end of input"
-    return repr("(" if tok[0] == "stmt" else tok[1])
+    return repr({"stmt": "(", "head": "vars"}.get(tok[0], tok[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +315,6 @@ class _Parser:
         self.mark = 0
         self.line = 1
         self.line_start = 0
-        self.declare(())
         for tok in self.tokens:
             if tok[0] == "bad":
                 raise self.error("syntax", tok, "unexpected character %r" % tok[1])
@@ -350,14 +398,22 @@ class _Parser:
         self.expect("dots", what="'..'")
         hi = self.parse_int()
         name = name_tok[1]
-        if lo > hi:
+        if lo >= hi:
             raise self.error(
                 "bad-range", name_tok,
-                "empty range %d..%d for variable %r" % (lo, hi, name),
+                "%s range %d..%d for variable %r"
+                % ("empty" if lo > hi else "one-value", lo, hi, name),
             )
         return VarDecl(name, lo, hi, span=self.span(name_tok))
 
     def parse_header(self) -> tuple[tuple[VarDecl, ...], str, str]:
+        tok = self.peek()
+        if tok[0] == "head":  # checked as it was scanned
+            self.pos += 1
+            _, _, _, decls, combiner, model_class = tok
+            return tuple(
+                VarDecl(name[1], lo, hi, self.span(name)) for name, lo, hi in decls
+            ), combiner, model_class
         self.skip_newlines()
         self.expect_keyword("vars")
         decls = [self.parse_vardecl()]
@@ -544,13 +600,27 @@ def _check_domain_sizes(doc: Document) -> None:
             )
 
 
+# The last space and combiner made, as ((ranges, combiner word), space,
+# combiner), kept for the process (``to_profile``).
+_kept: tuple | None = None
+
+
 def to_profile(doc: Document) -> Profile:
-    _check_domain_sizes(doc)
-    space = VariableSpace(
-        tuple(d.name for d in doc.variables),
-        tuple(tuple(range(d.lo, d.hi + 1)) for d in doc.variables),
-    )
-    combiner = _build_combiner(doc.combiner, doc.variables)
+    """The document's ``Profile``. When its ranges and combiner word are the
+    previous document's, its space has that one's domains tuple (and is that
+    space, if the names match too) and its ``Combiner`` is that one: a
+    ``tie`` table is then built once, and ``reasoner.compile_space`` finds
+    the space it keeps by identity."""
+    global _kept
+    names = tuple(d.name for d in doc.variables)
+    key = tuple((d.lo, d.hi) for d in doc.variables), doc.combiner
+    if _kept is None or _kept[0] != key:
+        _check_domain_sizes(doc)
+        domains = tuple(tuple(range(lo, hi + 1)) for lo, hi in key[0])
+        _kept = key, VariableSpace(names, domains), _build_combiner(doc.combiner, doc.variables)
+    elif _kept[1].variables != names:
+        _kept = key, VariableSpace(names, _kept[1].domains), _kept[2]
+    _, space, combiner = _kept
     stakeholders = tuple(
         Stakeholder(
             block.name,

@@ -252,6 +252,24 @@ def test_mg_construct_nonuniqueness_binary_language(data_dir, capsys):
         assert set(checks.values()) == {"pass"}
 
 
+def test_grounds_print_as_their_statements(data_dir, capsys):
+    """Grounds render each distinct alternative once per call, and still
+    print every statement as its ``str``, in text and in JSON."""
+    from concord.midground import construct_mgs
+
+    path = str(data_dir / "nonuniqueness.pref")
+    grounds = construct_mgs(dsl.parse_profile(Path(path).read_text())).grounds
+    want = [[str(s) for s in ground] for ground in grounds]
+    sides = {side for ground in grounds for s in ground for side in (s.left, s.right)}
+    assert len(sides) < sum(map(len, want))
+    code, payload, _ = run_json(capsys, "mg-construct", path)
+    assert code == 0 and payload["grounds"] == want
+    code, out, _ = run(capsys, "mg-construct", path)
+    assert code == 0 and [
+        line[2:] for line in out.splitlines() if line.startswith("  ")
+    ] == [s for ground in want for s in ground]
+
+
 # ---------------------------------------------------------------------------
 # gadget / oracle
 
@@ -480,6 +498,75 @@ def test_parser_reused_across_calls(ne_file, capsys):
     assert together == alone
     assert [code for code, _ in together] == [0, 2, 0]
     assert json.loads(together[2][1])["verdict"] == "none"
+
+
+_F = str(Path(__file__).parent / "data" / "nonexistence.pref")
+_S = "(0,1) >= (1,1)"
+_ARGVS = [
+    [], ["-h"], ["--help"], ["--json"], ["--json", "check", _F], ["frobnicate", _F],
+    ["--"], ["--", "check", _F], ["Check", _F], ["check=" + _F],
+]
+for _cmd in ("check", "mg-exists", "oracle consistent"):
+    _head = _cmd.split()
+    _ARGVS += [
+        _head + [_F], _head + [_F, "--json"], _head + ["--json", _F], _head + ["-h"],
+        _head, _head + [_F, "extra"], _head + [_F, "--bogus"], _head + [_F, "-x"],
+        _head + [_F, "--timeout-ms", "7"], _head + [_F, "--timeout-ms=abc"],
+        _head + [_F, "--max-vars-hier"], _head + [_F, "--max-lang", "9", "--js"],
+        _head + ["-", "--config"], _head + ["--", _F], _head + [_F, "--", "x"],
+        _head + ["/no/such/file.pref"], _head + [_F, "-h", "--bogus"],
+    ]
+for _cmd in ("entails", "classify", "oracle entails"):
+    _head = _cmd.split()
+    _ARGVS += [
+        _head + [_F, "--stmt", _S], _head + ["--stmt=" + _S, _F, "--json"], _head + [_F],
+        _head + [_F, "--stmt"], _head + [_F, "--stmt", _S, "extra"], _head + ["-h"],
+        _head + [_F, "--stmt", "(0,1)"], _head + [_F, "--stmt", _S, "--stmt", "(1,1) > (0,0)"],
+    ]
+for _cmd in ("mg-construct", "oracle mgs"):
+    _head = _cmd.split()
+    _ARGVS += [
+        _head + [_F, "--language", "binary"], _head + [_F, "--language", "nope"],
+        _head + [_F, "--language"], _head + [_F, "--lang", "full", "--json"],
+        _head + [_F, "extra", "--language", "full"], _head + ["-h"],
+    ]
+_ARGVS += [
+    ["mg-construct", _F, "--verify", "--json"], ["mg-construct", _F, "--ver"],
+    ["gadget"], ["gadget", "-h"], ["gadget", "nope"], ["gadget", "moral-machine"],
+    ["gadget", "moral-machine", "extra"], ["gadget", "nonexistence", "--json"],
+    ["gadget", "subset-sum", "--set", "1,2", "--target", "3"],
+    ["gadget", "subset-sum", "--set", "1,x", "--target", "3"],
+    ["gadget", "subset-sum", "--set", "1,2"], ["gadget", "subset-sum", "-h"],
+    ["gadget", "subset-sum", "--set", "1", "--target", "x"],
+    ["gadget", "nonuniqueness", "-h", "extra"], ["gadget", _F],
+    ["oracle"], ["oracle", "-h"], ["oracle", "nope", _F], ["oracle", _F],
+    ["oracle", "consistent"], ["oracle", "mgs", _F, "--verify"],
+]
+
+
+def _outcome(capsys, parse, argv):
+    """What ``parse(argv)`` returns, or its exit code, and what it printed."""
+    try:
+        got = vars(parse(argv))
+    except SystemExit as exc:
+        got = exc.code
+    return (got,) + capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", _ARGVS, ids=lambda argv: " ".join(argv).replace(_F, "FILE") or "none"
+)
+def test_argv_dispatch_matches_the_top_level_parser(argv, capsys, monkeypatch):
+    """A known subcommand's parser reads its arguments directly; the result,
+    the output and the exit match those of the top-level parser, which stays
+    the reference, and so do ``main``'s exit code, stdout and stderr."""
+    from concord import cli
+
+    ref = _build_parser().parse_args
+    assert _outcome(capsys, cli._parse_argv, argv) == _outcome(capsys, ref, argv)
+    fast = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse_argv", ref)
+    assert fast == run(capsys, *argv)
 
 
 def test_json_deterministic(ne_file, capsys):

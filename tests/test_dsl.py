@@ -5,7 +5,7 @@ import string
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from concord import domain, dsl
@@ -24,6 +24,8 @@ from concord.gadgets import (
     nonuniqueness_fixture,
     subset_sum_gadget,
 )
+from test_planted_hier import planted_profiles as planted_hier
+from test_planted_lex import planted_profiles as planted_lex
 
 EXAMPLE = """\
 vars adult:0..5, child:0..5, dog:0..5
@@ -101,6 +103,7 @@ def test_crlf_line_endings():
     "text,code",
     [
         ("vars x:1..0\ncombiner sum\nmodels hierarchical\nstakeholder p {(0)>(0)}", "bad-range"),
+        ("vars x:0..0\ncombiner sum\nmodels hierarchical\nstakeholder p {(0)>(0)}", "bad-range"),
         ("vars x:0..1, x:0..1\ncombiner sum\nmodels hierarchical\nstakeholder p {(0,0)>(0,1)}", "dup-variable"),
         ("vars x:0..1\ncombiner nope\nmodels hierarchical\nstakeholder p {(0)>(1)}", "bad-combiner"),
         ("vars x:0..1\ncombiner sum\nmodels flat\nstakeholder p {(0)>(1)}", "bad-models"),
@@ -162,6 +165,9 @@ _HEAD = "vars x:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n"
          .replace("\n", "\r\n"), "unexpected character '='", 6, 9),
         ("vars x:0..1, y:0..1 \r\ncombiner sum extra\r\n",
          "expected end of line, got 'extra'", 2, 14),
+        # a range of one value, reported at its variable's name
+        ("vars x:0..1, y:0..0\ncombiner sum\nmodels hierarchical\n"
+         "stakeholder p {(0,0)>(1,0)}", "one-value range 0..0 for variable 'y'", 1, 14),
         # duplicate names are reported at the second declaration
         (_HEAD + "# c 1\nstakeholder p { # (9,9)\n (0,\n 1) > (1,0) }\n"
          "# more (1,1)\n  stakeholder p {(1,1)>(0,0)}\n",
@@ -294,12 +300,18 @@ def test_to_profile_semantics():
 
 
 def test_to_profile_rejects_degenerate_range():
-    # 0..0 is grammatical, but a one-value domain has no preference content
+    # A one-value domain has no preference content. The parser refuses 0..0
+    # (bad-range, in the error table); a Document built by hand that
+    # declares it still fails in the engine.
     from concord.errors import DomainMismatchError
 
     doc = dsl.parse(
-        "vars x:0..0, y:0..1\ncombiner sum\nmodels hierarchical\n"
+        "vars x:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n"
         "stakeholder p {(0,0)>(0,1)}"
+    )
+    doc = dsl.Document(
+        (dsl.VarDecl("x", 0, 0),) + doc.variables[1:], doc.combiner,
+        doc.model_class, doc.stakeholders,
     )
     with pytest.raises(DomainMismatchError):
         dsl.to_profile(doc)
@@ -332,8 +344,9 @@ def documents(draw):
     )
     bounds = []
     for _ in range(nvars):
+        # two values or more: a one-value range is a bad-range error
         a = draw(st.integers(-6, 6))
-        b = draw(st.integers(-6, 6))
+        b = draw(st.integers(-6, 6).filter(lambda b: b != a))
         bounds.append((min(a, b), max(a, b)))
     decls = tuple(
         dsl.VarDecl(n, lo, hi) for n, (lo, hi) in zip(varnames, bounds)
@@ -577,3 +590,193 @@ def test_nodes_keep_their_statement():
     assert dsl.to_profile(parsed).stakeholders[0].statements[0] is (
         parsed.stakeholders[0].statements[0].statement
     )
+
+
+# ---------------------------------------------------------------------------
+# the header as one token
+
+
+def _spanned(doc: dsl.Document) -> tuple:
+    """``doc`` with every node's span, which equality leaves out."""
+    return doc, [(d, d.span) for d in doc.variables], [
+        (b.span, [n.span for n in b.statements]) for b in doc.stakeholders
+    ]
+
+
+def _parsed(text: str) -> tuple:
+    try:
+        return _spanned(dsl.parse(text))
+    except ParseError as e:
+        return e.code, e.line, e.col, e.message
+
+
+def _head_and_elements(text: str) -> tuple[tuple, tuple]:
+    """``parse(text)`` as it is, and with the header read element by
+    element, as it is when ``_header`` does not take it."""
+    head = _parsed(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsl, "_header", lambda text: None)
+        return head, _parsed(text)
+
+
+_BODY = "\nstakeholder p {\n  (0,1) > (1,0);\n  (1,1) >= (0,0)\n}\n"
+_FIFTY = "vars %s\ncombiner max\nmodels lexicographic\nstakeholder p {(%s) > (%s)}\n" % (
+    ", ".join("v%d:0..1" % i for i in range(50)), ",".join("1" * 50), ",".join("0" * 50)
+)
+
+# (document, whether its header is taken as one token)
+_HEADERS = [
+    # as render writes it, CRLF line ends too
+    (_TWO + _BODY, True),
+    ((_TWO + _BODY).replace("\n", "\r\n"), True),
+    ("vars x:-3..1, y:0..12\ncombiner product\nmodels lexicographic\n"
+     "stakeholder p {(-3,12) > (1,0)}", True),
+    ("vars x:00..01, y:-0..1\ncombiner tie\nmodels hierarchical\n" + _BODY, True),
+    (_FIFTY, True),
+    (_TWO + _TWO + _BODY, True),
+    (_TWO + "stakeholder vars {(0,1) > (1,0)}", True),
+    (_TWO + "stakeholder vars x:0..1\ncombiner sum\nmodels hierarchical\n", True),
+    (_TWO + "$" + _BODY, True),
+    (_TWO, True),
+    # other spellings: comments, blank lines, tabs, spacing, non-ASCII digits
+    ("# a comment\n\n  \t\n" + _TWO + _BODY, False),
+    ("vars x:0..1, y:0..1 # x, y\n# between\n\ncombiner sum\t# c\n \nmodels hierarchical #\n"
+     + _BODY, False),
+    ("vars\tx\t:\t0\t..\t1\t,\ty : 0 .. 1 \ncombiner\ttie\nmodels\thierarchical\n" + _BODY,
+     False),
+    ("  vars x:0..1,y:0..1\n  combiner sum\n  models hierarchical\n" + _BODY, False),
+    ("vars x:0..\u0661, y:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    # out of order, misspelt, cut or joined lines
+    ("combiner sum\nvars x:0..1, y:0..1\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0..1, y:0..1\nmodels hierarchical\ncombiner sum\n" + _BODY, False),
+    ("vars x:0..1, y:0..1\ncombiner sum\n" + _BODY, False),
+    ("vars x:0..1, y:0..1\ncombiner nope\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0..1, y:0..1\ncombiner sum\nmodels flat\n" + _BODY, False),
+    ("vars x:0..1, y:0..1\ncombiner SUM\nmodels hierarchical\n" + _BODY, False),
+    ("var x:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("varsx:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0..1,\n y:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0..1, y:0..1\ncombinersum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0..1, y:0..1\ncombiner sum\nmodels hierarchical", False),
+    ("vars x:0..1, y:0..1\ncombiner sum\nmodels hierarchical stakeholder p {(0,1)>(1,0)}", False),
+    ("vars x:0..1, y:0..1 combiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0..1, y:0..1\ncombiner 5\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0..1 y:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0..1, y:0..1,\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0.1, y:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0...1, y:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars 1x:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x\u00e9:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("\ufeffvars x:0..1, y:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    # checks: a name twice, ranges of one value or none, a huge integer
+    ("vars x:0..1, x:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0..1, y:1..0\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0..1, y:1..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0.." + "9" * 5000 + ", y:0..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+    ("vars x:0..1, y:-" + "9" * 5000 + "..1\ncombiner sum\nmodels hierarchical\n" + _BODY, False),
+]
+
+
+@pytest.mark.parametrize("text,taken", _HEADERS)
+def test_header_token_reads_as_its_elements(text, taken):
+    """Whether or not the header is one token, the Document (spans
+    included) or the ParseError is the same."""
+    assert (dsl._header(text) is not None) == taken
+    head, elements = _head_and_elements(text)
+    assert head == elements
+
+
+def test_header_token_where_a_statement_is_wanted():
+    """A header where ``parse_statement`` wants a tuple is refused as its
+    'vars' is, token or not."""
+    variables = dsl.parse(_TWO + _BODY).variables
+    for text in (_TWO, _TWO + "(0,1) > (1,0)"):
+        assert dsl._header(text) is not None
+        errors = []
+        for header in (dsl._header, lambda text: None):
+            with pytest.MonkeyPatch.context() as mp, pytest.raises(ParseError) as exc:
+                mp.setattr(dsl, "_header", header)
+                dsl.parse_statement(text, variables)
+            errors.append(str(exc.value))
+        assert errors == ["1:1: expected (, got 'vars' [syntax]"] * 2
+
+
+def test_header_token_on_the_data_documents(data_dir):
+    for path in sorted(data_dir.glob("*.pref")):
+        text = path.read_text()
+        assert dsl._header(text) is not None, path.name
+        head, elements = _head_and_elements(text)
+        assert head == elements and not isinstance(head[0], str), path.name
+
+
+def test_header_token_on_header_mutations():
+    """Single-character edits inside headers that are taken whole: a
+    replacement, an insertion or a deletion. Many break the token; each
+    reads as its elements do."""
+    rng = random.Random(20261022)
+    glyphs = string.printable + "\u0661\x0b\ufeff"
+    taken = 0
+    bases = [text for text, taken in _HEADERS if taken][:5]
+    for base in bases:
+        head = dsl._header(base)
+        end = head[2] + len(head[1])
+        for _ in range(200):
+            pos = rng.randrange(end)
+            cut = rng.choice((0, 1))  # characters dropped at pos
+            put = rng.choice(glyphs) if rng.random() < 0.7 or not cut else ""
+            mutated = base[:pos] + put + base[pos + cut:]
+            taken += dsl._header(mutated) is not None
+            head, elements = _head_and_elements(mutated)
+            assert head == elements, repr(mutated)
+    assert 0 < taken < 200 * len(bases)
+
+
+@given(st.data())
+@settings(
+    max_examples=40, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_header_token_on_planted_documents(data):
+    kind = data.draw(st.sampled_from(domain.BUILTIN_KINDS))
+    profile = data.draw(data.draw(st.sampled_from((planted_hier, planted_lex)))(kind))
+    text = dsl.render_profile(profile)
+    assert dsl._header(text) is not None
+    head, elements = _head_and_elements(text)
+    assert head == elements and dsl.to_profile(head[0]) == profile
+
+
+# ---------------------------------------------------------------------------
+# domains and combiner kept per process
+
+
+def test_to_profile_keeps_the_last_domains_and_combiner():
+    from concord.reasoner import compile_space
+
+    def profile(names, ranges="0..1", word="tie"):
+        return dsl.parse_profile(
+            "vars %s\ncombiner %s\nmodels hierarchical\nstakeholder p {(0,1) > (1,0)}"
+            % (", ".join("%s:%s" % (n, ranges) for n in names), word)
+        )
+
+    first = profile("xy")
+    renamed = profile("ab")
+    # Variable names are not part of the key: one domains tuple, one Combiner.
+    assert renamed.space.variables == ("a", "b")
+    assert renamed.space.domains is first.space.domains
+    assert renamed.combiner is first.combiner
+    assert profile("ab").space is renamed.space
+    # compile_space matches the kept space by identity.
+    cs = compile_space(first.space, first.combiner)
+    assert compile_space(renamed.space, renamed.combiner) is cs
+    assert cs.space.domains is renamed.space.domains and cs.c is renamed.combiner
+    # Another combiner word, or other ranges, replaces what is kept.
+    other = profile("ab", word="sum")
+    assert other.combiner == Combiner("sum")
+    assert other.space.domains == first.space.domains
+    again = profile("ab")
+    assert again.combiner == first.combiner and again.combiner is not first.combiner
+    wider = profile("ab", ranges="0..2")
+    assert wider.space.domains == ((0, 1, 2),) * 2
+    assert wider.combiner is not again.combiner
+    assert wider.combiner == Combiner.tie_over((0, 1, 2))
+    assert profile("ab", ranges="0..2").combiner is wider.combiner
